@@ -37,13 +37,10 @@ from .costs import (
 )
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .grover import (
-    GroverPlan,
     QueryCounter,
     iteration_count,
-    optimal_success_probability,
     rotation_angle,
     run_grover,
-    run_plan,
     success_probability,
 )
 from .oracles import (

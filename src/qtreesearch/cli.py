@@ -168,6 +168,8 @@ def render_verify_text(report: dict, wall_time: float) -> str:
     ]
     for label, value in report["kernel_checks"]["by_operation"].items():
         lines.append(f"  {label}: {value:.3e}")
+    for label, count in report["kernel_checks"]["skipped"].items():
+        lines.append(f"  skipped {label}: {count} calls on registers too wide to mirror")
     if "cnot_check" in report:
         cnot = report["cnot_check"]
         lines.append(

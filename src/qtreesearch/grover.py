@@ -65,40 +65,6 @@ def success_probability(num_states: int, num_marked: int, iterations: int) -> fl
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def optimal_success_probability(num_states: int, num_marked: int) -> float:
-    return success_probability(
-        num_states, num_marked, iteration_count(num_states, num_marked)
-    )
-
-
-@dataclass(frozen=True)
-class GroverPlan:
-    """A search assignment: which qubits, which predicate, how many rounds."""
-
-    search_qubits: QubitSet
-    oracle: Callable[[int], bool]
-    num_marked: int
-    rounds: int
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
-
-    @classmethod
-    def derive(
-        cls,
-        search_qubits: QubitSet,
-        oracle: Callable[[int], bool],
-        num_marked: int,
-        rounds: int | None = None,
-    ) -> "GroverPlan":
-        """Fill in the round count from the marked fraction when not forced."""
-        n = 2 ** len(search_qubits)
-        if rounds is None:
-            rounds = iteration_count(n, num_marked)
-        return cls(search_qubits, oracle, num_marked, rounds)
-
-
 def run_grover(
     sv: Statevector,
     oracle: Callable[[int], bool],
@@ -121,8 +87,3 @@ def run_grover(
             counter.count_diffusion()
     return sv
 
-
-def run_plan(
-    sv: Statevector, plan: GroverPlan, counter: QueryCounter | None = None
-) -> Statevector:
-    return run_grover(sv, plan.oracle, plan.search_qubits, plan.rounds, counter)

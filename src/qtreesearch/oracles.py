@@ -10,14 +10,10 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
-
-DESK_SCALE_STATES = 2**20
-
 
 def _check_bits(bits: str, what: str = "bit-string") -> None:
     if not isinstance(bits, str) or any(c not in "01" for c in bits):
@@ -29,18 +25,6 @@ def concat(upper_bits: str, lower_bits: str) -> str:
     _check_bits(upper_bits, "upper bits")
     _check_bits(lower_bits, "lower bits")
     return upper_bits + lower_bits
-
-
-def split(bits: str, lower_width: int) -> tuple[str, str]:
-    """Split a bit-string into (upper, lower) with ``lower_width`` low bits."""
-    _check_bits(bits)
-    if not 0 <= lower_width < len(bits):
-        raise ConfigurationError(
-            f"lower width must satisfy 0 <= g < len(bits), got g={lower_width} "
-            f"for {len(bits)} bits"
-        )
-    cut = len(bits) - lower_width
-    return bits[:cut], bits[cut:]
 
 
 def bits_to_int(bits: str) -> int:
@@ -112,11 +96,6 @@ class ConjunctionOracle:
     @property
     def marked_count(self) -> int:
         return 2 ** (self.width - len(self.literals))
-
-    def marked_states(self) -> tuple[int, ...]:
-        if 2**self.width > DESK_SCALE_STATES:
-            raise ConfigurationError(f"enumeration over 2**{self.width} states refused")
-        return tuple(p for p in range(2**self.width) if self(p))
 
     @property
     def marked_state(self) -> int:
@@ -234,15 +213,6 @@ class PartialCandidateSet:
             raise ConfigurationError(f"candidates must share one width, got {widths}")
         return cls(width=widths.pop(), candidates=tuple(bits_to_int(s) for s in strings))
 
-    @classmethod
-    def from_oracles(cls, oracles: Sequence[ConjunctionOracle]) -> PartialCandidateSet:
-        if not oracles:
-            raise ConfigurationError("candidate set may not be empty")
-        widths = {o.width for o in oracles}
-        if len(widths) != 1:
-            raise ConfigurationError(f"candidate oracles must share one width, got {widths}")
-        return cls(width=widths.pop(), candidates=tuple(o.marked_state for o in oracles))
-
     def __call__(self, pattern: int) -> bool:
         return pattern in self.candidates
 
@@ -284,113 +254,3 @@ def eval_oracle(oracle, bits: str) -> int:
             f"bit-string width {len(bits)} does not match oracle width {oracle.width}"
         )
     return int(bool(oracle(bits_to_int(bits))))
-
-
-@dataclass(frozen=True)
-class FlaggedUpperOracle:
-    """Upper-register oracle gated by a flag bit.
-
-    evaluate(z, flag) is true only when the upper pattern equals the target
-    and the flag is set. With the flag carrying "candidate k matches the
-    lower part of the solution", this restriction of the global oracle to
-    one upper block is what each disentangled search block amplifies with.
-    """
-
-    width: int
-    upper_target: int
-    flag_index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.upper_target < 2**self.width:
-            raise ConfigurationError(
-                f"target {self.upper_target} outside width {self.width}"
-            )
-        if self.flag_index < 1:
-            raise ConfigurationError(f"flag index is 1-based, got {self.flag_index}")
-
-    def evaluate(self, upper_pattern: int, flag: int) -> bool:
-        if flag not in (0, 1):
-            raise ConfigurationError(f"flag must be 0 or 1, got {flag}")
-        return flag == 1 and upper_pattern == self.upper_target
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Basis-state label: an integer plus the register width it is read in."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 2**self.width:
-            raise ConfigurationError(f"value {self.value} does not fit in {self.width} bits")
-
-    def __str__(self) -> str:
-        return int_to_bits(self.value, self.width)
-
-    @classmethod
-    def from_string(cls, bits: str) -> BasisLabel:
-        return cls(value=bits_to_int(bits), width=len(bits))
-
-
-@dataclass(frozen=True)
-class PathDescriptor:
-    """A root-to-leaf path in a uniform tree: one digit in [0, B) per level."""
-
-    branching: int
-    depth: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.branching < 2:
-            raise ConfigurationError(f"branching must be >= 2, got {self.branching}")
-        if self.depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {self.depth}")
-        if len(self.digits) != self.depth:
-            raise ConfigurationError(
-                f"expected {self.depth} digits, got {len(self.digits)}"
-            )
-        bad = [d for d in self.digits if not 0 <= d < self.branching]
-        if bad:
-            raise ConfigurationError(f"digits {bad} outside base {self.branching}")
-        if self.branching**self.depth > DESK_SCALE_STATES:
-            raise ConfigurationError(
-                f"{self.branching}**{self.depth} paths exceed the desk-scale cap"
-            )
-
-
-def _label_width(branching: int, depth: int) -> int:
-    if branching == 2:
-        return depth
-    return max(1, (branching**depth - 1).bit_length())
-
-
-def path_encode(path: PathDescriptor) -> BasisLabel:
-    """Rank the path, first digit most significant, into a basis label."""
-    value = 0
-    for d in path.digits:
-        value = value * path.branching + d
-    return BasisLabel(value=value, width=_label_width(path.branching, path.depth))
-
-
-def path_decode(value: int, branching: int, depth: int) -> PathDescriptor:
-    if branching < 2 or depth < 1:
-        raise ConfigurationError("branching must be >= 2 and depth >= 1")
-    if branching**depth > DESK_SCALE_STATES:
-        raise ConfigurationError(f"{branching}**{depth} paths exceed the desk-scale cap")
-    if not 0 <= value < branching**depth:
-        raise ConfigurationError(
-            f"value {value} outside [0, {branching}**{depth})"
-        )
-    digits = []
-    for _ in range(depth):
-        digits.append(value % branching)
-        value //= branching
-    return PathDescriptor(branching=branching, depth=depth, digits=tuple(reversed(digits)))
-
-
-def reduced_branching(branching: int) -> float:
-    """Effective branching factor once each level is searched quadratically faster."""
-    if branching < 2:
-        raise ConfigurationError(f"branching must be >= 2, got {branching}")
-    return math.sqrt(branching)

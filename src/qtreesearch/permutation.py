@@ -13,22 +13,21 @@ high bits (remaining low bits read 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, iteration_count, run_grover
-from .oracles import bits_to_int, eval_oracle
+from .oracles import bits_to_int
 from .statevector import (
     QubitSet,
     Statevector,
     apply_conditional_bit_flip,
     apply_index_map,
     qubits,
-    sample,
-    top_outcome,
 )
-from .strategies import SearchProblem, SearchResult, prepare_candidates
+from .strategies import SearchProblem, SearchResult, measure_and_verify, prepare_candidates
 
 CONVENTIONS = ("standard", "little_endian")
 
@@ -205,18 +204,23 @@ def _basis_prepared(problem: SearchProblem) -> Statevector:
     return Statevector(m, amps)
 
 
+class CompactedSearch(NamedTuple):
+    state: Statevector
+    spec: PermutationSpec
+
+
 def compacted_search_state(
     problem: SearchProblem,
     counter: QueryCounter | None = None,
     prep: str = "grover",
     convention: str = "little_endian",
-) -> Statevector:
+) -> CompactedSearch:
     """Final state of the relabeled search, before any measurement.
 
     Pipeline: prepare the candidate superposition (by amplification or by
     direct basis encoding), relabel the lower half, amplify over the
     compacted search set against the conjugated oracle, and undo the
-    relabeling.
+    relabeling. The relabeling is returned with the state.
 
     The compacted search starts from a uniform state only when the
     candidate count fills the code block (v a power of two) and the
@@ -243,7 +247,7 @@ def compacted_search_state(
     sv = apply_permutation(sv, spec, problem.lower_qubits)
     rounds = iteration_count(2 ** len(search), 1)
     sv = run_grover(sv, _compacted_oracle(problem, spec, search), search, rounds, counter)
-    return apply_transpose(sv, spec, problem.lower_qubits)
+    return CompactedSearch(state=apply_transpose(sv, spec, problem.lower_qubits), spec=spec)
 
 
 def permutation_search(
@@ -257,20 +261,7 @@ def permutation_search(
     """Sample the relabeled search and classically verify the top outcome."""
     if counter is None:
         counter = QueryCounter()
-    sv = compacted_search_state(problem, counter, prep=prep, convention=convention)
-    g = problem.g
-
-    histogram = sample(sv, shots, seed=seed)
-    top = top_outcome(histogram)
-    counter.count_oracle()
-    verified = bool(eval_oracle(problem.global_oracle, top))
-    candidate_index = (
-        problem.candidates.index_of(bits_to_int(top) & (2**g - 1)) if verified else None
-    )
-    return SearchResult(
-        found=top if verified else None,
-        candidate_index=candidate_index,
-        verified=verified,
-        queries=counter,
-        trials=1,
-    )
+    sv = compacted_search_state(problem, counter, prep=prep, convention=convention).state
+    return measure_and_verify(
+        problem, sv, shots, seed, counter, problem.matching_candidate_index()
+    ).result

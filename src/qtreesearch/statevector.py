@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,10 +116,6 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
     return Statevector(num_qubits, amps)
 
 
-def from_amplitudes(num_qubits: int, values: Iterable[complex]) -> Statevector:
-    return Statevector(num_qubits, np.asarray(list(values), dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # cross-check context: every kernel application is mirrored against an
 # explicitly built dense matrix while a check is active.
@@ -130,8 +126,9 @@ _ACTIVE_CHECK: "KernelCrossCheck | None" = None
 class KernelCrossCheck:
     """Context that compares each fast kernel against its dense construction.
 
-    Registers wider than ``max_qubits`` are skipped (the dense mirror is
-    quadratic in the dimension). Deviations are recorded per operation and
+    Registers wider than ``max_qubits`` are not checked (the dense mirror is
+    quadratic in the dimension); each such kernel call is counted per
+    operation in ``skipped``. Deviations are recorded per operation and
     summarized in ``max_deviation``.
     """
 
@@ -139,6 +136,7 @@ class KernelCrossCheck:
         self.max_qubits = max_qubits
         self.max_deviation = 0.0
         self.records: list[tuple[str, float]] = []
+        self.skipped: dict[str, int] = {}
         self._previous: KernelCrossCheck | None = None
 
     def __enter__(self) -> "KernelCrossCheck":
@@ -163,7 +161,10 @@ def _maybe_crosscheck(
     matrix_builder: Callable[[], np.ndarray],
 ) -> None:
     check = _ACTIVE_CHECK
-    if check is None or before.num_qubits > check.max_qubits:
+    if check is None:
+        return
+    if before.num_qubits > check.max_qubits:
+        check.skipped[label] = check.skipped.get(label, 0) + 1
         return
     dense = matrix_builder() @ before.amplitudes
     check.record(label, float(np.max(np.abs(fast - dense))))
@@ -289,19 +290,6 @@ def apply_index_map(
     return Statevector(sv.num_qubits, out)
 
 
-def apply_dense_unitary(sv: Statevector, matrix: np.ndarray) -> Statevector:
-    """Apply an explicit unitary to the whole register (unitarity is checked)."""
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (sv.dim, sv.dim):
-        raise ConfigurationError(
-            f"matrix shape {mat.shape} does not match register dimension {sv.dim}"
-        )
-    defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(sv.dim))))
-    if defect > 1e-9:
-        raise ValidationError(f"matrix unitarity defect {defect} exceeds 1e-9")
-    return Statevector(sv.num_qubits, mat @ sv.amplitudes)
-
-
 def probabilities(sv: Statevector) -> np.ndarray:
     """Born probabilities indexed by basis index."""
     return np.abs(sv.amplitudes) ** 2
@@ -363,18 +351,6 @@ def marginal_probability(
     idx = np.arange(sv.dim)
     mask = _subpattern(idx, on) == pattern
     return float(np.sum(np.abs(sv.amplitudes[mask]) ** 2))
-
-
-def is_uniform_marginal(
-    sv: Statevector, on: QubitSet | Sequence[int], tol: float = 1e-9
-) -> bool:
-    on = _as_qubitset(on)
-    on.validate_for(sv.num_qubits)
-    idx = np.arange(sv.dim)
-    sub = _subpattern(idx, on)
-    p = probabilities(sv)
-    marginals = np.bincount(sub, weights=p, minlength=2 ** len(on))
-    return bool(np.max(np.abs(marginals - 1.0 / 2 ** len(on))) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,46 @@ class SearchResult:
             raise ValidationError("a verified result must carry the found string")
 
 
+class Measurement(NamedTuple):
+    """One measured state: its sampled counts, the checked string, the verdict."""
+
+    state: Statevector
+    counts: dict[str, int]
+    top: str
+    result: SearchResult
+
+
+def measure_and_verify(
+    problem: SearchProblem,
+    sv: Statevector,
+    shots: int,
+    seed,
+    counter: QueryCounter,
+    candidate_index: int | None,
+    trials: int = 1,
+    upper_bits: str = "",
+) -> Measurement:
+    """Sample the state and classically check its top outcome.
+
+    The checked string is ``upper_bits`` followed by the top outcome, so a
+    lower-half-only state is completed by the known upper target. The check
+    spends one oracle query; the result reports ``candidate_index`` only
+    when the string verifies.
+    """
+    counts = sample(sv, shots, seed=seed)
+    top = concat(upper_bits, top_outcome(counts))
+    counter.count_oracle()
+    verified = bool(eval_oracle(problem.global_oracle, top))
+    result = SearchResult(
+        found=top if verified else None,
+        candidate_index=candidate_index if verified else None,
+        verified=verified,
+        queries=counter,
+        trials=trials,
+    )
+    return Measurement(state=sv, counts=counts, top=top, result=result)
+
+
 def prepare_candidates(
     problem: SearchProblem, counter: QueryCounter | None = None
 ) -> Statevector:
@@ -214,36 +254,39 @@ def iterative_trial_state(
     return _amplify_upper_globally(problem, sv, counter)
 
 
+class IterativeOutcome(NamedTuple):
+    trials: tuple[Measurement, ...]
+
+    @property
+    def result(self) -> SearchResult:
+        """The last trial's result: verified, or the exhausted search."""
+        return self.trials[-1].result
+
+
 def iterative_search(
     problem: SearchProblem,
     shots_per_trial: int = 256,
     seed: int = 0,
     counter: QueryCounter | None = None,
-) -> SearchResult:
+) -> IterativeOutcome:
     """Try candidates in order; measure each trial and verify classically.
 
     Each trial costs r_lower + r_upper quantum queries plus one classical
-    evaluation of the top outcome. Exhausting the candidates returns an
-    unverified result rather than raising.
+    evaluation of the top outcome. The loop stops at the first verified
+    trial; exhausting the candidates returns an unverified result rather
+    than raising. Every trial's measurement is returned in order.
     """
     if counter is None:
         counter = QueryCounter()
+    trials = []
     for k in range(1, problem.v + 1):
         sv = iterative_trial_state(problem, k, counter)
-        histogram = sample(sv, shots_per_trial, seed=(seed, k))
-        top = top_outcome(histogram)
-        counter.count_oracle()
-        if eval_oracle(problem.global_oracle, top):
-            return SearchResult(
-                found=top,
-                candidate_index=k,
-                verified=True,
-                queries=counter,
-                trials=k,
-            )
-    return SearchResult(
-        found=None, candidate_index=None, verified=False, queries=counter, trials=problem.v
-    )
+        trials.append(
+            measure_and_verify(problem, sv, shots_per_trial, (seed, k), counter, k, trials=k)
+        )
+        if trials[-1].result.verified:
+            break
+    return IterativeOutcome(trials=tuple(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +451,6 @@ def recover_candidate(
     oracle_k = candidate_oracle(problem.candidates, k)
     rounds = iteration_count(2**problem.g, 1)
     sv = run_grover(init_uniform(problem.g), oracle_k, qubit_range(0, problem.g), rounds, counter)
-    histogram = sample(sv, shots, seed=(seed, k))
-    top = top_outcome(histogram)
-    full = concat(problem.upper_target_bits, top)
-    counter.count_oracle()
-    verified = bool(eval_oracle(problem.global_oracle, full))
-    return SearchResult(
-        found=full if verified else None,
-        candidate_index=k if verified else None,
-        verified=verified,
-        queries=counter,
-        trials=1,
-    )
+    return measure_and_verify(
+        problem, sv, shots, (seed, k), counter, k, upper_bits=problem.upper_target_bits
+    ).result

@@ -277,7 +277,7 @@ def test_criterion_07_permutation():
             )
 
     problem = _five_qubit_problem()
-    exact = probability_map(compacted_search_state(problem)).get("10101", 0.0)
+    exact = probability_map(compacted_search_state(problem).state).get("10101", 0.0)
     result = permutation_search(problem, shots=256, seed=1)
     ok = (
         matrices_ok

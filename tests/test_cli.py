@@ -253,6 +253,26 @@ class TestVerify:
         assert "passed: true" in out
         assert "kernel checks:" in out
 
+    def test_uncovered_composite_fails(self, tmp_path, capsys):
+        # the disentangled composite has 4 + 2 * (4 + 1) = 14 qubits, wider
+        # than the dense mirrors reach, so its kernels go unchecked
+        config = write_config(
+            tmp_path,
+            "strategy: disentangled\nm: 8\ng: 4\nupper_oracle: [4, -3, -2, 1]\n"
+            'lower_oracle: [-4, 3, -2, 1]\ncandidates: ["0011", "0101"]\n'
+            "shots: 1024\nseed: 11\n",
+        )
+        code = run_cli("verify", "--config", config, "--format", "json")
+        assert code == EXIT_UNVERIFIED
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["kernel_checks"]["skipped"]["conditional_bit_flip"] > 0
+        assert "conditional_bit_flip" not in report["kernel_checks"]["by_operation"]
+        run_cli("verify", "--config", config)
+        out = capsys.readouterr().out
+        assert "skipped conditional_bit_flip:" in out
+        assert "passed: false" in out
+
 
 class TestSweep:
     def test_all_placements_verify(self, capsys):

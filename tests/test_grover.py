@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from qtreesearch.errors import ConfigurationError
 from qtreesearch.grover import (
-    GroverPlan,
     QueryCounter,
     iteration_count,
-    optimal_success_probability,
     rotation_angle,
     run_grover,
-    run_plan,
     success_probability,
 )
 from qtreesearch.oracles import MarkedSetOracle
@@ -75,9 +72,6 @@ class TestSuccessProbability:
     def test_zero_rounds_is_the_uniform_mass(self):
         assert success_probability(32, 2, 0) == pytest.approx(2 / 32)
 
-    def test_optimal_matches_iteration_count(self):
-        assert optimal_success_probability(8, 1) == success_probability(8, 1, 2)
-
     @given(st.integers(min_value=1, max_value=8), st.data())
     def test_simulation_agrees_with_closed_form(self, m, data):
         n = 2**m
@@ -128,20 +122,3 @@ class TestRunGrover:
         assert rotation_angle(4, 4) == pytest.approx(math.pi / 2)
         assert rotation_angle(4, 1) == pytest.approx(math.pi / 6)
 
-
-class TestGroverPlan:
-    def test_derive_fills_rounds(self):
-        oracle = MarkedSetOracle(width=3, marked=frozenset({5}))
-        plan = GroverPlan.derive(qubit_range(0, 3), oracle, num_marked=1)
-        assert plan.rounds == 2
-
-    def test_run_plan_matches_run_grover(self):
-        oracle = MarkedSetOracle(width=3, marked=frozenset({5}))
-        plan = GroverPlan.derive(qubit_range(0, 3), oracle, num_marked=1)
-        a = run_plan(init_uniform(3), plan)
-        b = run_grover(init_uniform(3), oracle, qubit_range(0, 3), 2)
-        assert np.allclose(a.amplitudes, b.amplitudes)
-
-    def test_rejects_negative_rounds(self):
-        with pytest.raises(ConfigurationError):
-            GroverPlan(qubit_range(0, 2), lambda p: False, 1, -1)

@@ -251,7 +251,7 @@ class TestCompactedSearch:
     def test_exact_success_probability(self):
         problem = five_qubit_problem()
         for prep in ("grover", "basis"):
-            sv = compacted_search_state(problem, prep=prep)
+            sv = compacted_search_state(problem, prep=prep).state
             dist = probability_map(sv)
             assert dist["10101"] == pytest.approx(TWO_ROUND_EIGHT, abs=1e-12)
 

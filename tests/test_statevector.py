@@ -18,14 +18,11 @@ from qtreesearch.statevector import (
     KernelCrossCheck,
     Statevector,
     apply_conditional_bit_flip,
-    apply_dense_unitary,
     apply_diffusion,
     apply_index_map,
     apply_phase_flip,
     basis_state,
-    from_amplitudes,
     init_uniform,
-    is_uniform_marginal,
     marginal_probability,
     partition_purity,
     probabilities,
@@ -66,7 +63,7 @@ class TestConstruction:
 
     def test_rejects_bad_norm(self):
         with pytest.raises(ValidationError):
-            from_amplitudes(1, [1.0, 1.0])
+            Statevector(1, np.array([1.0, 1.0]))
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ConfigurationError):
@@ -218,17 +215,6 @@ class TestIndexMap:
         assert np.allclose(np.sort_complex(out.amplitudes), np.sort_complex(sv.amplitudes))
 
 
-class TestDenseUnitary:
-    def test_applies_hadamard(self):
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        out = apply_dense_unitary(basis_state(1, 0), h)
-        assert np.allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValidationError):
-            apply_dense_unitary(basis_state(1, 0), np.array([[1, 0], [1, 1]]))
-
-
 class TestMeasurement:
     def test_probabilities_sum_to_one(self):
         sv = random_state(4, seed=3)
@@ -249,15 +235,9 @@ class TestMeasurement:
         assert top_outcome({"10": 5, "01": 5, "00": 3}) == "01"
 
     def test_marginal_probability(self):
-        bell = from_amplitudes(2, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        bell = Statevector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
         assert marginal_probability(bell, qubits(0), 0) == pytest.approx(0.5)
         assert marginal_probability(bell, qubits(0, 1), 0b11) == pytest.approx(0.5)
-
-    def test_uniform_marginal(self):
-        bell = from_amplitudes(2, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-        assert is_uniform_marginal(bell, qubits(0))
-        assert not is_uniform_marginal(basis_state(2, 0), qubits(0))
-
 
 class TestPurity:
     def test_product_state_is_pure(self):
@@ -265,7 +245,7 @@ class TestPurity:
         assert partition_purity(sv, qubits(0, 1)) == pytest.approx(1.0)
 
     def test_bell_state_halves(self):
-        bell = from_amplitudes(2, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
+        bell = Statevector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
         assert partition_purity(bell, qubits(0)) == pytest.approx(0.5)
 
     def test_rejects_trivial_partition(self):
@@ -306,3 +286,4 @@ class TestKernelCrossCheck:
         with KernelCrossCheck(max_qubits=2) as check:
             apply_diffusion(init_uniform(3), qubit_range(0, 3))
         assert check.records == []
+        assert check.skipped == {"diffusion": 1}

@@ -153,7 +153,7 @@ class TestEntangledNested:
 class TestIterativeSearch:
     def test_matching_candidate_first(self):
         problem = five_qubit_problem(candidate_strings=("101", "011"))
-        result = iterative_search(problem, seed=7)
+        result = iterative_search(problem, seed=7).result
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 1
@@ -162,7 +162,7 @@ class TestIterativeSearch:
 
     def test_mismatch_first_then_success(self):
         problem = five_qubit_problem()
-        result = iterative_search(problem, seed=7)
+        result = iterative_search(problem, seed=7).result
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 2
@@ -189,7 +189,7 @@ class TestIterativeSearch:
 
     def test_exhaustion_returns_unverified(self):
         problem = five_qubit_problem(candidate_strings=("011", "110"))
-        result = iterative_search(problem, seed=3)
+        result = iterative_search(problem, seed=3).result
         assert not result.verified
         assert result.found is None
         assert result.trials == 2
@@ -206,7 +206,7 @@ class TestIterativeSearch:
                 global_oracle=ConcatenatedOracle(upper, lower),
                 candidates=PartialCandidateSet.from_strings([decoy, lower_bits]),
             )
-            result = iterative_search(problem, seed=13)
+            result = iterative_search(problem, seed=13).result
             assert result.verified
             assert result.found == "10" + lower_bits
             assert result.queries.oracle_calls <= 2 * (2 + 1 + 1)
