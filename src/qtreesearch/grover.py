@@ -1,8 +1,9 @@
 """Amplitude amplification on a full register or a sub-register.
 
-The oracle is a plain Python predicate over the sub-register pattern; each
-flip+diffuse round spends one oracle call and one diffusion call, tallied by
-an optional QueryCounter so experiment drivers can report query budgets.
+The oracle arrives as a boolean mask over the sub-register patterns, built
+once by the caller and reused by every round; each flip+diffuse round
+spends one oracle call and one diffusion call, tallied by an optional
+QueryCounter so experiment drivers can report query budgets.
 Classical verification steps elsewhere tick the same oracle_calls counter:
 a query is a query however it is addressed.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .statevector import QubitSet, Statevector, apply_diffusion, apply_phase_flip
@@ -67,21 +70,38 @@ def success_probability(num_states: int, num_marked: int, iterations: int) -> fl
 
 def run_grover(
     sv: Statevector,
-    oracle: Callable[[int], bool],
+    marked: np.ndarray,
     on: QubitSet | Sequence[int],
     rounds: int,
     counter: QueryCounter | None = None,
 ) -> Statevector:
     """Apply `rounds` repetitions of [phase flip; diffusion] on `on`.
 
-    Amplifies whatever projection of the current state the oracle marks;
+    ``marked`` is the oracle mask over the sub-patterns of ``on``.
+    Amplifies whatever projection of the current state the mask marks;
     the caller chooses the starting state and the round count.
+    """
+    return amplify(sv, marked, on, on, rounds, counter)
+
+
+def amplify(
+    sv: Statevector,
+    marked: np.ndarray,
+    flip_on: QubitSet | Sequence[int],
+    diffuse_on: QubitSet | Sequence[int],
+    rounds: int,
+    counter: QueryCounter | None = None,
+) -> Statevector:
+    """Repeat [phase flip by ``marked`` on ``flip_on``; diffusion on ``diffuse_on``].
+
+    A mask that also reads qubits outside ``diffuse_on`` lets their
+    amplitudes steer which patterns of the diffused qubits grow.
     """
     if rounds < 0:
         raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
     for _ in range(rounds):
-        sv = apply_phase_flip(sv, oracle, on)
-        sv = apply_diffusion(sv, on)
+        sv = apply_phase_flip(sv, marked, flip_on)
+        sv = apply_diffusion(sv, diffuse_on)
         if counter is not None:
             counter.count_oracle()
             counter.count_diffusion()

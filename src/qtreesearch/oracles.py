@@ -1,5 +1,10 @@
 """Bit-string plumbing and the oracle families used by the search strategies.
 
+Every oracle has one quantum form, ``mask()``: a boolean array of length
+``2**width`` whose entry p says whether the oracle marks pattern p. The
+kernels take only that mask. ``__call__`` is the classical query on one
+pattern, which measured strategies spend to check an outcome.
+
 Conventions, fixed package-wide:
 
 * textual bit-strings are written most-significant bit first,
@@ -12,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
 
@@ -93,6 +100,11 @@ class ConjunctionOracle:
     def __call__(self, pattern: int) -> bool:
         return all(((pattern >> p) & 1) == v for p, v in self.literals)
 
+    def mask(self) -> np.ndarray:
+        care = sum(1 << p for p, _ in self.literals)
+        value = sum(int(v) << p for p, v in self.literals)
+        return (np.arange(2**self.width) & care) == value
+
     @property
     def marked_count(self) -> int:
         return 2 ** (self.width - len(self.literals))
@@ -111,29 +123,6 @@ class ConjunctionOracle:
 
     def signed_literals(self) -> list[int]:
         return sorted(((p + 1) if v else -(p + 1) for p, v in self.literals), key=abs)
-
-
-@dataclass(frozen=True)
-class MarkedSetOracle:
-    """Membership oracle for an explicit set of marked patterns."""
-
-    width: int
-    marked: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ConfigurationError(f"oracle width must be >= 1, got {self.width}")
-        object.__setattr__(self, "marked", frozenset(int(x) for x in self.marked))
-        bad = [x for x in self.marked if not 0 <= x < 2**self.width]
-        if bad:
-            raise ConfigurationError(f"marked patterns {bad} outside width {self.width}")
-
-    def __call__(self, pattern: int) -> bool:
-        return pattern in self.marked
-
-    @property
-    def marked_count(self) -> int:
-        return len(self.marked)
 
 
 @dataclass(frozen=True)
@@ -165,6 +154,10 @@ class ConcatenatedOracle:
     def __call__(self, pattern: int) -> bool:
         g = self.split
         return self.lower(pattern & ((1 << g) - 1)) and self.upper(pattern >> g)
+
+    def mask(self) -> np.ndarray:
+        """Pattern (z << split) | y is marked when upper marks z and lower y."""
+        return np.outer(self.upper.mask(), self.lower.mask()).reshape(-1)
 
     @property
     def marked_count(self) -> int:
@@ -215,6 +208,11 @@ class PartialCandidateSet:
 
     def __call__(self, pattern: int) -> bool:
         return pattern in self.candidates
+
+    def mask(self) -> np.ndarray:
+        marked = np.zeros(2**self.width, dtype=bool)
+        marked[list(self.candidates)] = True
+        return marked
 
     @property
     def size(self) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .grover import QueryCounter, iteration_count, run_grover
+from .grover import QueryCounter, amplify, iteration_count
 from .oracles import bits_to_int
 from .statevector import (
     QubitSet,
@@ -157,40 +157,20 @@ def apply_cnot_permutation(
         )
     if set(data.indices) & set(flags.indices):
         raise ConfigurationError("data and flag qubits overlap")
+    patterns = np.arange(2**spec.width)
+    flag_set = np.array([False, True])
     for (a, b), flag in zip(spec.transpositions, flags.indices):
-        mark_a = lambda p, a=a: p == a
-        mark_b = lambda p, b=b: p == b
+        mark_a = patterns == a
+        mark_b = patterns == b
         sv = apply_conditional_bit_flip(sv, flag, mark_a, data)
         sv = apply_conditional_bit_flip(sv, flag, mark_b, data)
         difference = a ^ b
         for j, q in enumerate(data.indices):
             if (difference >> j) & 1:
-                sv = apply_conditional_bit_flip(sv, q, lambda f: f == 1, qubits(flag))
+                sv = apply_conditional_bit_flip(sv, q, flag_set, qubits(flag))
         sv = apply_conditional_bit_flip(sv, flag, mark_a, data)
         sv = apply_conditional_bit_flip(sv, flag, mark_b, data)
     return sv
-
-
-def _compacted_oracle(problem: SearchProblem, spec: PermutationSpec, search: QubitSet):
-    """Global oracle conjugated by the relabeling, restricted to the search set.
-
-    A search-set pattern is embedded into the full register with zeros on
-    the idle qubits (valid because the idle lower qubits are exactly |0>
-    after the relabeling), the lower part is pulled back through the
-    inverse relabeling, and the original oracle answers.
-    """
-    inverse = spec.inverse()
-    g = problem.g
-    lower_mask = 2**g - 1
-
-    def oracle(pattern: int) -> bool:
-        full = 0
-        for j, q in enumerate(search.indices):
-            full |= ((pattern >> j) & 1) << q
-        lower = inverse[full & lower_mask]
-        return problem.global_oracle((full & ~lower_mask) | lower)
-
-    return oracle
 
 
 def _basis_prepared(problem: SearchProblem) -> Statevector:
@@ -218,14 +198,18 @@ def compacted_search_state(
     """Final state of the relabeled search, before any measurement.
 
     Pipeline: prepare the candidate superposition (by amplification or by
-    direct basis encoding), relabel the lower half, amplify over the
-    compacted search set against the conjugated oracle, and undo the
+    direct basis encoding), relabel the lower half, amplify with the
+    global oracle conjugated by the relabeling (a phase flip on the whole
+    register, diffusion over the compacted search set), and undo the
     relabeling. The relabeling is returned with the state.
 
-    The compacted search starts from a uniform state only when the
+    The conjugated oracle marks the solution only when its lower string is
+    a candidate, and reads the idle lower qubits too, so mass that
+    candidate preparation leaves off the candidates (idle qubits not all
+    |0>) is never marked and stays where it was. The search set starts
+    uniform, so the marked mass follows sin^2((2r+1)theta), only when the
     candidate count fills the code block (v a power of two) and the
-    candidates carry equal amplitudes; other cases run but with degraded
-    success probability.
+    candidates carry equal amplitudes; otherwise it departs from that law.
     """
     if counter is None:
         counter = QueryCounter()
@@ -245,8 +229,14 @@ def compacted_search_state(
         raise ConfigurationError(f"prep must be 'basis' or 'grover', got {prep!r}")
 
     sv = apply_permutation(sv, spec, problem.lower_qubits)
+    # row z, column y: whether the relabeled pattern (z << g) | y is marked;
+    # only candidates may be marked, so a lower string outside the candidate
+    # set leaves every relabeled pattern unmarked
+    oracle = problem.global_oracle
+    marked = np.outer(oracle.upper.mask(), oracle.lower.mask() & problem.candidates.mask())
+    conjugated = marked[:, list(spec.inverse())]
     rounds = iteration_count(2 ** len(search), 1)
-    sv = run_grover(sv, _compacted_oracle(problem, spec, search), search, rounds, counter)
+    sv = amplify(sv, conjugated.reshape(-1), problem.all_qubits, search, rounds, counter)
     return CompactedSearch(state=apply_transpose(sv, spec, problem.lower_qubits), spec=spec)
 
 

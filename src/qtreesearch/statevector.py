@@ -1,10 +1,11 @@
 """Dense statevector simulation for registers of up to 20 qubits.
 
 Basis indexing is little-endian: qubit q is bit q of the basis index, and
-textual labels therefore print qubit m-1 first. Operations are functional,
-returning a fresh Statevector and leaving inputs untouched. Every kernel has
-a dense-matrix mirror used by the cross-check context, so the fast index
-arithmetic is never the only route to a result.
+textual labels therefore print qubit m-1 first. An oracle reaches a kernel
+as a boolean mask over the sub-patterns of the qubits it reads. Operations
+are functional, returning a fresh Statevector and leaving inputs untouched.
+Every kernel has a dense-matrix mirror used by the cross-check context, so
+the fast index arithmetic is never the only route to a result.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .oracles import int_to_bits
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-9
@@ -181,30 +181,35 @@ def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
     return sub
 
 
-def _predicate_table(predicate: Callable[[int], bool], width: int) -> np.ndarray:
-    return np.fromiter(
-        (bool(predicate(p)) for p in range(2**width)), dtype=bool, count=2**width
-    )
+def _checked_mask(marked, on: QubitSet) -> np.ndarray:
+    """The oracle mask over the ``on`` sub-patterns, or ConfigurationError."""
+    marked = np.asarray(marked)
+    if marked.dtype != np.bool_ or marked.shape != (2 ** len(on),):
+        raise ConfigurationError(
+            f"oracle mask must be bool of shape ({2 ** len(on)},), "
+            f"got {marked.dtype} of shape {marked.shape}"
+        )
+    return marked
 
 
 def apply_phase_flip(
-    sv: Statevector, predicate: Callable[[int], bool], on: QubitSet | Sequence[int]
+    sv: Statevector, marked: np.ndarray, on: QubitSet | Sequence[int]
 ) -> Statevector:
-    """Negate amplitudes whose bits at ``on`` satisfy the predicate.
+    """Negate amplitudes whose bits at ``on`` form a marked sub-pattern.
 
-    The predicate sees the sub-pattern as an int whose bit j is the basis
-    index bit at on[j].
+    ``marked`` is indexed by the sub-pattern, the int whose bit j is the
+    basis index bit at on[j].
     """
     on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("phase flip needs at least one qubit")
-    table = _predicate_table(predicate, len(on))
+    marked = _checked_mask(marked, on)
     idx = np.arange(sv.dim)
-    signs = np.where(table[_subpattern(idx, on)], -1.0, 1.0)
+    signs = np.where(marked[_subpattern(idx, on)], -1.0, 1.0)
     out = sv.amplitudes * signs
     _maybe_crosscheck(
-        "phase_flip", sv, out, lambda: dense_phase_flip_matrix(sv.num_qubits, predicate, on)
+        "phase_flip", sv, out, lambda: dense_phase_flip_matrix(sv.num_qubits, marked, on)
     )
     return Statevector(sv.num_qubits, out)
 
@@ -235,13 +240,14 @@ def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevecto
 def apply_conditional_bit_flip(
     sv: Statevector,
     target: int,
-    predicate: Callable[[int], bool],
+    marked: np.ndarray,
     on: QubitSet | Sequence[int],
 ) -> Statevector:
-    """Flip the target qubit where the predicate holds on the ``on`` bits.
+    """Flip the target qubit where the ``on`` bits form a marked sub-pattern.
 
-    A classical reversible update (an X gate under a predicate control);
-    target must not be part of ``on``.
+    A classical reversible update (an X gate under an oracle control);
+    target must not be part of ``on``. With no control qubits the mask has
+    one entry, and True flips the target unconditionally.
     """
     on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
@@ -249,19 +255,15 @@ def apply_conditional_bit_flip(
         raise ConfigurationError(f"target qubit {target} outside register")
     if target in on:
         raise ConfigurationError("target qubit may not be among the controls")
-    table = _predicate_table(predicate, len(on)) if len(on) else None
+    marked = _checked_mask(marked, on)
     idx = np.arange(sv.dim)
-    if table is None:
-        flips = np.ones(sv.dim, dtype=bool)
-    else:
-        flips = table[_subpattern(idx, on)]
-    partner = np.where(flips, idx ^ (1 << target), idx)
+    partner = np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx)
     out = sv.amplitudes[partner]
     _maybe_crosscheck(
         "conditional_bit_flip",
         sv,
         out,
-        lambda: dense_bit_flip_matrix(sv.num_qubits, target, predicate, on),
+        lambda: dense_bit_flip_matrix(sv.num_qubits, target, marked, on),
     )
     return Statevector(sv.num_qubits, out)
 
@@ -298,10 +300,9 @@ def probabilities(sv: Statevector) -> np.ndarray:
 def probability_map(sv: Statevector, floor: float = 1e-12) -> dict[str, float]:
     """Probabilities keyed by textual label, entries below ``floor`` dropped."""
     p = probabilities(sv)
-    return {
-        int_to_bits(i, sv.num_qubits): float(p[i])
-        for i in np.nonzero(p > floor)[0]
-    }
+    keep = np.flatnonzero(p > floor)
+    width = f"0{sv.num_qubits}b"
+    return {format(i, width): x for i, x in zip(keep.tolist(), p[keep].tolist())}
 
 
 def sample(sv: Statevector, shots: int, seed) -> dict[str, int]:
@@ -314,9 +315,9 @@ def sample(sv: Statevector, shots: int, seed) -> dict[str, int]:
     p = probabilities(sv)
     p = p / p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
-    return {
-        int_to_bits(i, sv.num_qubits): int(c) for i, c in enumerate(counts) if c
-    }
+    keep = np.flatnonzero(counts)
+    width = f"0{sv.num_qubits}b"
+    return {format(i, width): c for i, c in zip(keep.tolist(), counts[keep].tolist())}
 
 
 def top_outcome(histogram: dict[str, int]) -> str:
@@ -357,12 +358,12 @@ def marginal_probability(
 # dense reference constructions
 
 def dense_phase_flip_matrix(
-    num_qubits: int, predicate: Callable[[int], bool], on: QubitSet | Sequence[int]
+    num_qubits: int, marked: np.ndarray, on: QubitSet | Sequence[int]
 ) -> np.ndarray:
     on = _as_qubitset(on)
-    table = _predicate_table(predicate, len(on))
+    marked = _checked_mask(marked, on)
     idx = np.arange(2**num_qubits)
-    signs = np.where(table[_subpattern(idx, on)], -1.0, 1.0)
+    signs = np.where(marked[_subpattern(idx, on)], -1.0, 1.0)
     return np.diag(signs).astype(np.complex128)
 
 
@@ -381,17 +382,13 @@ def dense_diffusion_matrix(num_qubits: int, on: QubitSet | Sequence[int]) -> np.
 def dense_bit_flip_matrix(
     num_qubits: int,
     target: int,
-    predicate: Callable[[int], bool],
+    marked: np.ndarray,
     on: QubitSet | Sequence[int],
 ) -> np.ndarray:
     on = _as_qubitset(on)
-    table = _predicate_table(predicate, len(on)) if len(on) else None
+    marked = _checked_mask(marked, on)
     idx = np.arange(2**num_qubits)
-    if table is None:
-        flips = np.ones(2**num_qubits, dtype=bool)
-    else:
-        flips = table[_subpattern(idx, on)]
-    dest = np.where(flips, idx ^ (1 << target), idx)
+    dest = np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx)
     mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
     mat[dest, idx] = 1.0
     return mat

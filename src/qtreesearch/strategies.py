@@ -13,6 +13,7 @@ that problem description:
   that candidate, keeping the blocks and the candidate register product.
 
 All pipelines count oracle and diffusion applications through QueryCounter.
+Each amplification builds its oracle mask once and reuses it every round.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
-from .grover import QueryCounter, iteration_count, run_grover
+from .grover import QueryCounter, amplify, iteration_count, run_grover
 from .oracles import (
     ConcatenatedOracle,
     PartialCandidateSet,
@@ -179,7 +180,7 @@ def prepare_candidates(
     """Uniform register with the candidate set amplified on the lower half."""
     rounds = iteration_count(2**problem.g, problem.v)
     sv = init_uniform(problem.m)
-    return run_grover(sv, problem.candidates, problem.lower_qubits, rounds, counter)
+    return run_grover(sv, problem.candidates.mask(), problem.lower_qubits, rounds, counter)
 
 
 def _amplify_upper_globally(
@@ -195,13 +196,8 @@ def _amplify_upper_globally(
     assertion applies.
     """
     rounds = iteration_count(2 ** (problem.m - problem.g), 1)
-    for _ in range(rounds):
-        sv = apply_phase_flip(sv, problem.global_oracle, problem.all_qubits)
-        sv = apply_diffusion(sv, problem.upper_qubits)
-        if counter is not None:
-            counter.count_oracle()
-            counter.count_diffusion()
-    return sv
+    marked = problem.global_oracle.mask()
+    return amplify(sv, marked, problem.all_qubits, problem.upper_qubits, rounds, counter)
 
 
 def entangled_nested(
@@ -233,7 +229,7 @@ def product_subspace_search(
     sv = prepare_candidates(problem, counter)
     upper_rounds = iteration_count(2 ** (problem.m - problem.g), 1)
     return run_grover(
-        sv, problem.global_oracle.upper, problem.upper_qubits, upper_rounds, counter
+        sv, problem.global_oracle.upper.mask(), problem.upper_qubits, upper_rounds, counter
     )
 
 
@@ -250,7 +246,7 @@ def iterative_trial_state(
     oracle_k = candidate_oracle(problem.candidates, k)
     lower_rounds = iteration_count(2**problem.g, 1)
     sv = init_uniform(problem.m)
-    sv = run_grover(sv, oracle_k, problem.lower_qubits, lower_rounds, counter)
+    sv = run_grover(sv, oracle_k.mask(), problem.lower_qubits, lower_rounds, counter)
     return _amplify_upper_globally(problem, sv, counter)
 
 
@@ -352,17 +348,6 @@ def _flags_cleared_uniform(layout: CompositeLayout) -> Statevector:
     return Statevector(total, amps)
 
 
-def _bound_upper_oracle(problem: SearchProblem, k: int):
-    """The global oracle with its lower input fixed to candidate k."""
-    h_k = problem.candidates.candidate(k)
-    g = problem.g
-
-    def predicate(z: int) -> bool:
-        return problem.global_oracle((z << g) | h_k)
-
-    return predicate
-
-
 def block_distribution(
     problem: SearchProblem, state: Statevector, k: int
 ) -> dict[str, float]:
@@ -402,16 +387,20 @@ def disentangled_search(
     layout = disentangled_layout(problem)
     sv = _flags_cleared_uniform(layout)
     prep_rounds = iteration_count(2**problem.g, problem.v)
-    sv = run_grover(sv, problem.candidates, layout.lower, prep_rounds, counter)
+    sv = run_grover(sv, problem.candidates.mask(), layout.lower, prep_rounds, counter)
 
     upper_rounds = iteration_count(2**layout.block_width, 1)
+    # row z, column y: whether the global oracle marks (z << g) | y
+    global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
+    flag_set = np.array([False, True])
     for k in range(1, problem.v + 1):
-        bound = _bound_upper_oracle(problem, k)
+        # the global oracle with its lower input fixed to candidate k
+        bound = global_mask[:, problem.candidates.candidate(k)]
         flag = layout.flag(k)
         block = layout.block(k)
         for _ in range(upper_rounds):
             sv = apply_conditional_bit_flip(sv, flag, bound, block)
-            sv = apply_phase_flip(sv, lambda b: b == 1, qubits(flag))
+            sv = apply_phase_flip(sv, flag_set, qubits(flag))
             sv = apply_conditional_bit_flip(sv, flag, bound, block)
             sv = apply_diffusion(sv, block)
             if counter is not None:
@@ -450,7 +439,9 @@ def recover_candidate(
         counter = QueryCounter()
     oracle_k = candidate_oracle(problem.candidates, k)
     rounds = iteration_count(2**problem.g, 1)
-    sv = run_grover(init_uniform(problem.g), oracle_k, qubit_range(0, problem.g), rounds, counter)
+    sv = run_grover(
+        init_uniform(problem.g), oracle_k.mask(), qubit_range(0, problem.g), rounds, counter
+    )
     return measure_and_verify(
         problem, sv, shots, (seed, k), counter, k, upper_bits=problem.upper_target_bits
     ).result

@@ -90,7 +90,7 @@ def _four_candidate_problem() -> SearchProblem:
 
 def test_criterion_01_one_rotation_exactness():
     def simulate() -> float:
-        sv = run_grover(init_uniform(2), lambda p: p == 2, qubit_range(0, 2), rounds=1)
+        sv = run_grover(init_uniform(2), np.arange(4) == 2, qubit_range(0, 2), rounds=1)
         return float(probabilities(sv)[2])
 
     simulate()
@@ -118,7 +118,7 @@ def test_criterion_02_analytic_success_law():
         for k in (1, 2, 4):
             if k > n:
                 continue
-            marked = lambda p, k=k: p < k
+            marked = np.arange(n) < k
             for rounds in range(0, 9):
                 sv = run_grover(init_uniform(m), marked, qubit_range(0, m), rounds)
                 simulated = float(probabilities(sv)[:k].sum())

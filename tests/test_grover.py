@@ -15,7 +15,6 @@ from qtreesearch.grover import (
     run_grover,
     success_probability,
 )
-from qtreesearch.oracles import MarkedSetOracle
 from qtreesearch.statevector import (
     init_uniform,
     marginal_probability,
@@ -77,22 +76,19 @@ class TestSuccessProbability:
         n = 2**m
         k = data.draw(st.integers(min_value=1, max_value=n))
         r = data.draw(st.integers(min_value=0, max_value=min(8, iteration_count(n, k) + 2)))
-        marked = frozenset(
-            data.draw(
-                st.sets(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
-            )
+        chosen = data.draw(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
         )
-        oracle = MarkedSetOracle(width=m, marked=marked)
-        sv = run_grover(init_uniform(m), oracle, qubit_range(0, m), r)
-        mass = float(sum(probabilities(sv)[i] for i in marked))
+        marked = np.isin(np.arange(n), list(chosen))
+        sv = run_grover(init_uniform(m), marked, qubit_range(0, m), r)
+        mass = float(probabilities(sv)[marked].sum())
         assert mass == pytest.approx(success_probability(n, k, r), abs=1e-9)
 
 
 class TestRunGrover:
     def test_two_round_search_on_three_qubits(self):
-        oracle = MarkedSetOracle(width=3, marked=frozenset({0b101}))
         counter = QueryCounter()
-        sv = run_grover(init_uniform(3), oracle, qubit_range(0, 3), 2, counter)
+        sv = run_grover(init_uniform(3), np.arange(8) == 0b101, qubit_range(0, 3), 2, counter)
         assert probabilities(sv)[0b101] == pytest.approx(0.9453125, abs=1e-6)
         assert counter.oracle_calls == 2
         assert counter.diffusion_calls == 2
@@ -101,8 +97,7 @@ class TestRunGrover:
     def test_subregister_search_leaves_the_rest_untouched(self):
         # amplify 11 on the low two qubits of a 4-qubit register: the high
         # half keeps its uniform marginal and the cut stays product
-        oracle = MarkedSetOracle(width=2, marked=frozenset({0b11}))
-        sv = run_grover(init_uniform(4), oracle, qubits(0, 1), 1)
+        sv = run_grover(init_uniform(4), np.arange(4) == 0b11, qubits(0, 1), 1)
         assert marginal_probability(sv, qubits(0, 1), 0b11) == pytest.approx(1.0)
         for pattern in range(4):
             assert marginal_probability(sv, qubits(2, 3), pattern) == pytest.approx(0.25)
@@ -110,7 +105,7 @@ class TestRunGrover:
 
     def test_zero_rounds_is_identity(self):
         sv = init_uniform(3)
-        out = run_grover(sv, lambda p: p == 0, qubit_range(0, 3), 0)
+        out = run_grover(sv, np.arange(8) == 0, qubit_range(0, 3), 0)
         assert np.allclose(out.amplitudes, sv.amplitudes)
 
     def test_counter_rejects_negative(self):

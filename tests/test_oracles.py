@@ -1,5 +1,6 @@
 """Predicate and bitstring plumbing checks, mostly by exhaustive enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from qtreesearch.errors import ConfigurationError, PreconditionError, Validation
 from qtreesearch.oracles import (
     ConcatenatedOracle,
     ConjunctionOracle,
-    MarkedSetOracle,
     PartialCandidateSet,
     bits_to_int,
     candidate_oracle,
@@ -207,9 +207,38 @@ class TestPartialCandidateSet:
         assert {p for p in range(8) if sub(p)} == {0b101}
 
 
-class TestMarkedSetOracle:
-    def test_arbitrary_set(self):
-        oracle = MarkedSetOracle(width=3, marked=frozenset({1, 6}))
-        assert {p for p in range(8) if oracle(p)} == {1, 6}
-        assert oracle.marked_count == 2
+@st.composite
+def conjunctions(draw, width):
+    positions = draw(st.lists(st.integers(1, width), unique=True, max_size=width))
+    signed = [draw(st.sampled_from([p, -p])) for p in positions]
+    return ConjunctionOracle.from_signed_literals(signed, width=width)
+
+
+@st.composite
+def oracles(draw):
+    """Any oracle class over 1 to 8 variables (2 to 8 for a concatenation)."""
+    kind = draw(st.sampled_from(["conjunction", "concatenated", "candidates"]))
+    if kind == "conjunction":
+        return draw(conjunctions(draw(st.integers(1, 8))))
+    if kind == "concatenated":
+        width = draw(st.integers(2, 8))
+        g = draw(st.integers(1, width - 1))
+        upper = draw(st.integers(0, 2 ** (width - g) - 1))
+        lower = draw(st.integers(0, 2**g - 1))
+        return ConcatenatedOracle(
+            upper=ConjunctionOracle.matching(int_to_bits(upper, width - g)),
+            lower=ConjunctionOracle.matching(int_to_bits(lower, g)),
+        )
+    width = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, 2**width - 1), unique=True, min_size=1, max_size=16))
+    return PartialCandidateSet(width=width, candidates=tuple(values))
+
+
+class TestMask:
+    @given(oracles())
+    def test_mask_agrees_with_the_classical_query(self, oracle):
+        mask = oracle.mask()
+        assert mask.dtype == np.bool_
+        assert mask.tolist() == [oracle(p) for p in range(2**oracle.width)]
+        assert int(mask.sum()) == oracle.marked_count
 

@@ -303,3 +303,36 @@ class TestCompactedSearch:
             if weight > 1e-12:
                 assert label[-1] == "0"
                 assert label[-2] == "0"
+
+    @staticmethod
+    def _half_filled_problem(upper, target):
+        return SearchProblem(
+            global_oracle=ConcatenatedOracle(
+                upper=ConjunctionOracle.from_signed_literals(upper, width=len(upper)),
+                lower=ConjunctionOracle.matching(target),
+            ),
+            candidates=PartialCandidateSet.from_strings(["000", "011", "110", "101"]),
+        )
+
+    @pytest.mark.parametrize("upper", [[2, -1], [-3, -2, 1]], ids=["m5", "m6"])
+    @pytest.mark.parametrize("target", ["000", "011", "110", "101"])
+    def test_half_filled_lower_block_verifies_at_every_seed(self, upper, target):
+        # v = 2^g / 2: candidate preparation leaves half the mass off the
+        # candidates, on the idle-qubit block, which the conjugated oracle
+        # never marks, so the solution stays the top outcome at every seed
+        problem = self._half_filled_problem(upper, target)
+        found = [permutation_search(problem, seed=seed).found for seed in range(20)]
+        assert found == [problem.solution_bits] * 20
+
+    @pytest.mark.parametrize("upper", [[2, -1], [-3, -2, 1]], ids=["m5", "m6"])
+    @pytest.mark.parametrize("target", ["001", "010", "100", "111"])
+    def test_lower_string_outside_candidates_is_never_amplified(self, upper, target):
+        # the off-candidate mass sits on the idle-qubit block, uniform over
+        # the search set; the conjugated oracle marks only candidates, so a
+        # solution whose lower string is no candidate keeps its prepared
+        # weight and the final state stays uniform over every pattern
+        problem = self._half_filled_problem(upper, target)
+        weights = probability_map(compacted_search_state(problem).state)
+        assert len(weights) == 2**problem.m
+        assert weights[problem.solution_bits] == pytest.approx(2.0**-problem.m)
+        assert max(weights.values()) == pytest.approx(2.0**-problem.m)

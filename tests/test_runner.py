@@ -1,5 +1,6 @@
-"""One strategy registry: bundled artifacts pinned byte for byte, and each
-trial state and relabeling built once per run."""
+"""One strategy registry: bundled artifacts pinned byte for byte, each
+trial state and relabeling built once per run, and oracles reaching the
+kernels as masks, never as per-pattern queries."""
 
 import json
 from pathlib import Path
@@ -10,7 +11,8 @@ import qtreesearch.permutation as permmod
 import qtreesearch.runner as runmod
 import qtreesearch.strategies as stratmod
 from qtreesearch.cli import render_json
-from qtreesearch.config import STRATEGY_CHOICES, load_config, resolve_config
+from qtreesearch.config import STRATEGY_CHOICES, config_from_mapping, load_config, resolve_config
+from qtreesearch.oracles import ConcatenatedOracle
 from qtreesearch.runner import STRATEGY_RUNS, run_experiment, run_verification
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,3 +73,30 @@ def test_permutation_run_builds_the_relabeling_once(monkeypatch):
     artifact, _ = run_experiment(load_config(resolve_config("fig_d_el_v_3_6")))
     assert artifact["relabeling"]["mapping"]
     assert len(calls) == 1
+
+
+def test_entangled_run_never_queries_the_oracle_per_pattern(monkeypatch):
+    # the kernels take the oracle's mask; the per-pattern query is spent
+    # only on classical checks, and an entangled run measures none
+    queries = []
+    original = ConcatenatedOracle.__call__
+
+    def counted(oracle, pattern):
+        queries.append(pattern)
+        return original(oracle, pattern)
+
+    monkeypatch.setattr(ConcatenatedOracle, "__call__", counted)
+    config = config_from_mapping(
+        {
+            "strategy": "entangled",
+            "m": 12,
+            "g": 6,
+            "upper_oracle": [6, -5, 4, -3, 2, 1],
+            "lower_oracle": [-6, 5, -4, 3, 2, -1],
+            "candidates": ["000011", "101110", "010110", "111000"],
+        }
+    )
+    artifact, code = run_experiment(config)
+    assert code == 0
+    assert artifact["histogram"]
+    assert queries == []

@@ -34,6 +34,8 @@ from qtreesearch.statevector import (
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+# oracle mask of one control qubit, marking the sub-pattern 1
+ONE = np.array([False, True])
 I2 = np.eye(2, dtype=np.complex128)
 
 
@@ -79,14 +81,14 @@ class TestConventions:
         # X on qubit 1 of |00> must land on the label "10", matching
         # kron(X, I) acting on index 0 in MSB-first factor order.
         sv = basis_state(2, 0)
-        flipped = apply_conditional_bit_flip(sv, target=1, predicate=lambda _: True, on=qubits())
+        flipped = apply_conditional_bit_flip(sv, target=1, marked=np.array([True]), on=qubits())
         assert probability_map(flipped) == {"10": 1.0}
         dense = kron_chain(X, I2) @ sv.amplitudes
         assert np.allclose(flipped.amplitudes, dense)
 
     def test_qubit_zero_is_the_right_character(self):
         sv = basis_state(2, 0)
-        flipped = apply_conditional_bit_flip(sv, target=0, predicate=lambda _: True, on=qubits())
+        flipped = apply_conditional_bit_flip(sv, target=0, marked=np.array([True]), on=qubits())
         assert probability_map(flipped) == {"01": 1.0}
         dense = kron_chain(I2, X) @ sv.amplitudes
         assert np.allclose(flipped.amplitudes, dense)
@@ -95,26 +97,52 @@ class TestConventions:
 class TestPhaseFlip:
     def test_single_marked_state(self):
         sv = init_uniform(2)
-        out = apply_phase_flip(sv, lambda p: p == 0b11, qubits(0, 1))
+        out = apply_phase_flip(sv, np.arange(4) == 0b11, qubits(0, 1))
         expected = np.array([1, 1, 1, -1]) / 2
         assert np.allclose(out.amplitudes, expected)
 
     def test_subregister_predicate_reads_low_bits(self):
         # flipping on qubit 0 == 1 negates every odd basis index
         sv = init_uniform(3)
-        out = apply_phase_flip(sv, lambda p: p == 1, qubits(0))
+        out = apply_phase_flip(sv, ONE, qubits(0))
         signs = np.array([1, -1] * 4)
         assert np.allclose(out.amplitudes, signs / math.sqrt(8))
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**10))
     def test_involution(self, m, seed):
         sv = random_state(m, seed)
-        marked = seed % (2**m)
+        marked = np.arange(2**m) == seed % (2**m)
         on = qubit_range(0, m)
-        twice = apply_phase_flip(
-            apply_phase_flip(sv, lambda p: p == marked, on), lambda p: p == marked, on
-        )
+        twice = apply_phase_flip(apply_phase_flip(sv, marked, on), marked, on)
         assert np.allclose(twice.amplitudes, sv.amplitudes)
+
+
+class TestOracleMask:
+    # one qubit of control: the mask needs exactly two bool entries
+    BAD_MASKS = {
+        "too_short": np.array([True]),
+        "too_long": np.zeros(4, dtype=bool),
+        "int_dtype": np.array([0, 1]),
+        "float_dtype": np.array([0.0, 1.0]),
+        "two_dimensional": np.array([[False, True]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_MASKS))
+    def test_phase_flip_rejects(self, name):
+        with pytest.raises(ConfigurationError):
+            apply_phase_flip(init_uniform(2), self.BAD_MASKS[name], qubits(0))
+
+    @pytest.mark.parametrize("name", sorted(BAD_MASKS))
+    def test_conditional_bit_flip_rejects(self, name):
+        with pytest.raises(ConfigurationError):
+            apply_conditional_bit_flip(init_uniform(2), 1, self.BAD_MASKS[name], qubits(0))
+
+    @pytest.mark.parametrize("name", sorted(BAD_MASKS))
+    def test_dense_mirrors_reject(self, name):
+        with pytest.raises(ConfigurationError):
+            svmod.dense_phase_flip_matrix(2, self.BAD_MASKS[name], qubits(0))
+        with pytest.raises(ConfigurationError):
+            svmod.dense_bit_flip_matrix(2, 1, self.BAD_MASKS[name], qubits(0))
 
 
 class TestDiffusion:
@@ -127,7 +155,7 @@ class TestDiffusion:
         # one marked state in four: a single flip+diffuse round succeeds
         # with certainty
         sv = init_uniform(2)
-        sv = apply_phase_flip(sv, lambda p: p == 0b10, qubits(0, 1))
+        sv = apply_phase_flip(sv, np.arange(4) == 0b10, qubits(0, 1))
         sv = apply_diffusion(sv, qubits(0, 1))
         assert probability_map(sv)["10"] == pytest.approx(1.0)
 
@@ -168,26 +196,26 @@ class TestConditionalBitFlip:
     def test_cnot(self):
         # control qubit 0, target qubit 1: |01> -> |11>
         sv = basis_state(2, 0b01)
-        out = apply_conditional_bit_flip(sv, target=1, predicate=lambda p: p == 1, on=qubits(0))
+        out = apply_conditional_bit_flip(sv, target=1, marked=ONE, on=qubits(0))
         assert probability_map(out) == {"11": 1.0}
 
     def test_control_zero_does_nothing(self):
         sv = basis_state(2, 0b00)
-        out = apply_conditional_bit_flip(sv, target=1, predicate=lambda p: p == 1, on=qubits(0))
+        out = apply_conditional_bit_flip(sv, target=1, marked=ONE, on=qubits(0))
         assert probability_map(out) == {"00": 1.0}
 
     def test_target_among_controls_rejected(self):
         sv = init_uniform(2)
         with pytest.raises(ConfigurationError):
-            apply_conditional_bit_flip(sv, target=0, predicate=lambda p: True, on=qubits(0))
+            apply_conditional_bit_flip(sv, target=0, marked=np.array([True, True]), on=qubits(0))
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**10))
     def test_involution(self, m, seed):
         sv = random_state(m, seed)
         on = qubit_range(0, m - 1)
-        pred = lambda p: (p * 2654435761 + seed) % 3 == 0
-        once = apply_conditional_bit_flip(sv, m - 1, pred, on)
-        twice = apply_conditional_bit_flip(once, m - 1, pred, on)
+        marked = (np.arange(2 ** (m - 1)) * 2654435761 + seed) % 3 == 0
+        once = apply_conditional_bit_flip(sv, m - 1, marked, on)
+        twice = apply_conditional_bit_flip(once, m - 1, marked, on)
         assert np.allclose(twice.amplitudes, sv.amplitudes)
 
 
@@ -231,6 +259,17 @@ class TestMeasurement:
         sv = basis_state(3, 0b101)
         assert sample(sv, shots=64, seed=0) == {"101": 64}
 
+    def test_labels_match_the_per_index_reference(self):
+        # same entries, in the same (ascending index) order, as one loop over
+        # every basis index
+        sv = random_state(5, seed=4)
+        p = probabilities(sv)
+        expected = [(format(i, "05b"), float(p[i])) for i in range(32) if p[i] > 1e-12]
+        assert list(probability_map(sv).items()) == expected
+        counts = np.random.default_rng(2).multinomial(100, p / p.sum())
+        expected = [(format(i, "05b"), int(c)) for i, c in enumerate(counts) if c]
+        assert list(sample(sv, 100, seed=2).items()) == expected
+
     def test_top_outcome_tie_breaks_lexicographically(self):
         assert top_outcome({"10": 5, "01": 5, "00": 3}) == "01"
 
@@ -260,9 +299,9 @@ class TestKernelCrossCheck:
     def test_clean_run_records_tiny_deviation(self):
         with KernelCrossCheck() as check:
             sv = init_uniform(3)
-            sv = apply_phase_flip(sv, lambda p: p == 5, qubit_range(0, 3))
+            sv = apply_phase_flip(sv, np.arange(8) == 5, qubit_range(0, 3))
             sv = apply_diffusion(sv, qubit_range(0, 3))
-            sv = apply_conditional_bit_flip(sv, 2, lambda p: p == 3, qubits(0, 1))
+            sv = apply_conditional_bit_flip(sv, 2, np.arange(4) == 3, qubits(0, 1))
             sv = apply_index_map(sv, [1, 0], qubits(1))
         assert len(check.records) == 4
         assert check.max_deviation < 1e-12
