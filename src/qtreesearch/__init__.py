@@ -55,12 +55,9 @@ from .oracles import (
 from .permutation import (
     PermutationSpec,
     apply_cnot_permutation,
-    apply_permutation,
-    apply_transpose,
     build_permutation,
     compacted_search_state,
     permutation_matrix,
-    permutation_search,
 )
 from .runner import cost_table, run_experiment, run_sweep, run_verification
 from .statevector import (

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"m={self.m} exceeds the {MAX_QUBITS}-qubit limit")
         if self.shots < 1:
             raise ConfigurationError(f"shots must be at least 1, got {self.shots}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.shots_per_trial < 1:
             raise ConfigurationError(
                 f"shots_per_trial must be at least 1, got {self.shots_per_trial}"

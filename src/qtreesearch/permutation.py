@@ -27,7 +27,7 @@ from .statevector import (
     apply_index_map,
     qubits,
 )
-from .strategies import SearchProblem, SearchResult, measure_and_verify, prepare_candidates
+from .strategies import SearchProblem, prepare_candidates
 
 CONVENTIONS = ("standard", "little_endian")
 
@@ -125,19 +125,6 @@ def permutation_matrix(spec: PermutationSpec) -> np.ndarray:
     return mat
 
 
-def apply_permutation(
-    sv: Statevector, spec: PermutationSpec, on: QubitSet
-) -> Statevector:
-    return apply_index_map(sv, spec.mapping, on)
-
-
-def apply_transpose(
-    sv: Statevector, spec: PermutationSpec, on: QubitSet
-) -> Statevector:
-    """Inverse relabeling; the matrix transpose, since entries are 0/1."""
-    return apply_index_map(sv, spec.inverse(), on)
-
-
 def apply_cnot_permutation(
     sv: Statevector, spec: PermutationSpec, data: QubitSet, flags: QubitSet
 ) -> Statevector:
@@ -177,10 +164,10 @@ def _basis_prepared(problem: SearchProblem) -> Statevector:
     """Uniform upper half against an even superposition of the candidates."""
     m, g = problem.m, problem.g
     amps = np.zeros(2**m, dtype=np.complex128)
-    value = 1.0 / np.sqrt(problem.v * 2 ** (m - g))
-    for h in problem.candidates.candidates:
-        for z in range(2 ** (m - g)):
-            amps[(z << g) | h] = value
+    # row z, column y: the amplitude of (z << g) | y
+    amps.reshape(2 ** (m - g), 2**g)[:, list(problem.candidates.candidates)] = (
+        1.0 / np.sqrt(problem.v * 2 ** (m - g))
+    )
     return Statevector(m, amps)
 
 
@@ -228,30 +215,15 @@ def compacted_search_state(
     else:
         raise ConfigurationError(f"prep must be 'basis' or 'grover', got {prep!r}")
 
-    sv = apply_permutation(sv, spec, problem.lower_qubits)
+    inverse = list(spec.inverse())
+    sv = apply_index_map(sv, spec.mapping, problem.lower_qubits)
     # row z, column y: whether the relabeled pattern (z << g) | y is marked;
     # only candidates may be marked, so a lower string outside the candidate
     # set leaves every relabeled pattern unmarked
     oracle = problem.global_oracle
     marked = np.outer(oracle.upper.mask(), oracle.lower.mask() & problem.candidates.mask())
-    conjugated = marked[:, list(spec.inverse())]
+    conjugated = marked[:, inverse]
     rounds = iteration_count(2 ** len(search), 1)
     sv = amplify(sv, conjugated.reshape(-1), problem.all_qubits, search, rounds, counter)
-    return CompactedSearch(state=apply_transpose(sv, spec, problem.lower_qubits), spec=spec)
-
-
-def permutation_search(
-    problem: SearchProblem,
-    counter: QueryCounter | None = None,
-    prep: str = "grover",
-    convention: str = "little_endian",
-    shots: int = 256,
-    seed: int = 0,
-) -> SearchResult:
-    """Sample the relabeled search and classically verify the top outcome."""
-    if counter is None:
-        counter = QueryCounter()
-    sv = compacted_search_state(problem, counter, prep=prep, convention=convention).state
-    return measure_and_verify(
-        problem, sv, shots, seed, counter, problem.matching_candidate_index()
-    ).result
+    sv = apply_index_map(sv, inverse, problem.lower_qubits)
+    return CompactedSearch(state=sv, spec=spec)

@@ -397,6 +397,8 @@ def run_sweep(
     """
     if not 1 <= g < m:
         raise ConfigurationError(f"need 1 <= g < m, got g={g}, m={m}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     upper_bits = "1" + "0" * (m - g - 1)
     r_lower = iteration_count(2**g, 1)
     r_upper = iteration_count(2 ** (m - g), 1)

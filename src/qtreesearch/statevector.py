@@ -4,8 +4,12 @@ Basis indexing is little-endian: qubit q is bit q of the basis index, and
 textual labels therefore print qubit m-1 first. An oracle reaches a kernel
 as a boolean mask over the sub-patterns of the qubits it reads. Operations
 are functional, returning a fresh Statevector and leaving inputs untouched.
-Every kernel has a dense-matrix mirror used by the cross-check context, so
-the fast index arithmetic is never the only route to a result.
+
+Every kernel and read-out addresses a sub-register one way: the amplitudes
+viewed as a (2**k, rest) matrix whose row p is sub-pattern p. Every kernel
+also has a dense-matrix mirror, used by the cross-check context, that is
+built from basis-index bit arithmetic instead. The two routes share no
+index code, so a fault in either shows as a deviation.
 """
 
 from __future__ import annotations
@@ -171,14 +175,30 @@ def _maybe_crosscheck(
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels: each reads the amplitudes as a matrix whose rows are the
+# sub-patterns of the qubits it acts on
 
-def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
-    """Bits of each basis index at the given positions, packed little-endian."""
-    sub = np.zeros_like(indices)
-    for j, q in enumerate(on.indices):
-        sub |= ((indices >> q) & 1) << j
-    return sub
+def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:
+    # qubit q is axis m-1-q of the (2,)*m tensor; order[-1] leads, and the
+    # other axes keep their order behind the leading ones
+    lead = [num_qubits - 1 - q for q in reversed(order)]
+    return lead + [a for a in range(num_qubits) if a not in lead]
+
+
+def _rows(sv: Statevector, order: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a (2**k, rest) matrix; row p is sub-pattern p.
+
+    Bit j of p is qubit order[j]. The columns run over the other qubits in
+    basis-index order.
+    """
+    tensor = sv.amplitudes.reshape((2,) * sv.num_qubits)
+    return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
+
+
+def _from_rows(rows: np.ndarray, num_qubits: int, order: Sequence[int]) -> np.ndarray:
+    """Flat amplitudes of a matrix laid out as ``_rows`` lays it out."""
+    axes = np.argsort(_row_axes(num_qubits, order))
+    return rows.reshape((2,) * num_qubits).transpose(axes).reshape(-1)
 
 
 def _checked_mask(marked, on: QubitSet) -> np.ndarray:
@@ -205,9 +225,8 @@ def apply_phase_flip(
     if len(on) == 0:
         raise ConfigurationError("phase flip needs at least one qubit")
     marked = _checked_mask(marked, on)
-    idx = np.arange(sv.dim)
-    signs = np.where(marked[_subpattern(idx, on)], -1.0, 1.0)
-    out = sv.amplitudes * signs
+    signs = np.where(marked, -1.0, 1.0)[:, None]
+    out = _from_rows(_rows(sv, on.indices) * signs, sv.num_qubits, on.indices)
     _maybe_crosscheck(
         "phase_flip", sv, out, lambda: dense_phase_flip_matrix(sv.num_qubits, marked, on)
     )
@@ -224,13 +243,10 @@ def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevecto
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("diffusion needs at least one qubit")
-    m, k = sv.num_qubits, len(on)
-    tensor = sv.amplitudes.reshape((2,) * m)
-    axes = [m - 1 - q for q in on.indices]
-    moved = np.moveaxis(tensor, axes, range(k))
-    mat = moved.reshape(2**k, -1)
-    reflected = 2.0 * mat.mean(axis=0)[None, :] - mat
-    out = np.moveaxis(reflected.reshape((2,) * m), range(k), axes).reshape(-1)
+    # on[0] as the top row bit: the mean sums the rows in this order
+    order = on.indices[::-1]
+    rows = _rows(sv, order)
+    out = _from_rows(2.0 * rows.mean(axis=0)[None, :] - rows, sv.num_qubits, order)
     _maybe_crosscheck(
         "diffusion", sv, out, lambda: dense_diffusion_matrix(sv.num_qubits, on)
     )
@@ -256,9 +272,11 @@ def apply_conditional_bit_flip(
     if target in on:
         raise ConfigurationError("target qubit may not be among the controls")
     marked = _checked_mask(marked, on)
-    idx = np.arange(sv.dim)
-    partner = np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx)
-    out = sv.amplitudes[partner]
+    # the target as the top row bit: its two halves trade places where marked
+    order = on.indices + (target,)
+    halves = _rows(sv, order).reshape(2, 2 ** len(on), -1)
+    swapped = np.where(marked[:, None], halves[::-1], halves)
+    out = _from_rows(swapped, sv.num_qubits, order)
     _maybe_crosscheck(
         "conditional_bit_flip",
         sv,
@@ -278,14 +296,10 @@ def apply_index_map(
     arr = np.asarray(mapping, dtype=np.int64)
     if arr.shape != (2**k,) or sorted(arr.tolist()) != list(range(2**k)):
         raise ValidationError(f"mapping is not a bijection over {2**k} patterns")
-    idx = np.arange(sv.dim)
-    sub = _subpattern(idx, on)
-    delta = sub ^ arr[sub]
-    new_idx = idx.copy()
-    for j, q in enumerate(on.indices):
-        new_idx ^= ((delta >> j) & 1) << q
-    out = np.empty_like(sv.amplitudes)
-    out[new_idx] = sv.amplitudes
+    rows = _rows(sv, on.indices)
+    moved = np.empty_like(rows)
+    moved[arr] = rows
+    out = _from_rows(moved, sv.num_qubits, on.indices)
     _maybe_crosscheck(
         "index_map", sv, out, lambda: dense_index_map_matrix(sv.num_qubits, mapping, on)
     )
@@ -333,12 +347,16 @@ def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
     part.validate_for(sv.num_qubits)
     if len(part) == 0 or len(part) == sv.num_qubits:
         raise ConfigurationError("partition must be a proper nonempty subset")
-    m, k = sv.num_qubits, len(part)
-    tensor = sv.amplitudes.reshape((2,) * m)
-    axes = [m - 1 - q for q in part.indices]
-    mat = np.moveaxis(tensor, axes, range(k)).reshape(2**k, -1)
-    singular = np.linalg.svd(mat, compute_uv=False)
+    # part[0] as the top row bit: the SVD sees the rows in this order
+    singular = np.linalg.svd(_rows(sv, part.indices[::-1]), compute_uv=False)
     return float(np.sum(singular**4))
+
+
+def marginal_distribution(sv: Statevector, on: QubitSet | Sequence[int]) -> np.ndarray:
+    """Probability of every pattern of the ``on`` bits, indexed by pattern."""
+    on = _as_qubitset(on)
+    on.validate_for(sv.num_qubits)
+    return np.sum(np.abs(_rows(sv, on.indices)) ** 2, axis=1)
 
 
 def marginal_probability(
@@ -346,16 +364,22 @@ def marginal_probability(
 ) -> float:
     """Probability that measuring the ``on`` bits yields the given pattern."""
     on = _as_qubitset(on)
-    on.validate_for(sv.num_qubits)
     if not 0 <= pattern < 2 ** len(on):
         raise ConfigurationError(f"pattern {pattern} outside width {len(on)}")
-    idx = np.arange(sv.dim)
-    mask = _subpattern(idx, on) == pattern
-    return float(np.sum(np.abs(sv.amplitudes[mask]) ** 2))
+    return float(marginal_distribution(sv, on)[pattern])
 
 
 # ---------------------------------------------------------------------------
-# dense reference constructions
+# dense reference constructions: basis-index arithmetic, sharing no index
+# code with the kernels above
+
+def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
+    """Bits of each basis index at the given positions, packed little-endian."""
+    sub = np.zeros_like(indices)
+    for j, q in enumerate(on.indices):
+        sub |= ((indices >> q) & 1) << j
+    return sub
+
 
 def dense_phase_flip_matrix(
     num_qubits: int, marked: np.ndarray, on: QubitSet | Sequence[int]

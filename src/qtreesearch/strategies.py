@@ -42,6 +42,7 @@ from .statevector import (
     apply_diffusion,
     apply_phase_flip,
     init_uniform,
+    marginal_distribution,
     marginal_probability,
     qubit_range,
     qubits,
@@ -353,11 +354,8 @@ def block_distribution(
 ) -> dict[str, float]:
     """Exact marginal distribution of block k's qubits."""
     layout = disentangled_layout(problem)
-    width = layout.block_width
-    return {
-        int_to_bits(z, width): marginal_probability(state, layout.block(k), z)
-        for z in range(2**width)
-    }
+    dist = marginal_distribution(state, layout.block(k)).tolist()
+    return {int_to_bits(z, layout.block_width): p for z, p in enumerate(dist)}
 
 
 def flag_excitation(problem: SearchProblem, state: Statevector, k: int) -> float:

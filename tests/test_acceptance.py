@@ -21,7 +21,7 @@ from qtreesearch.costs import (
     times_ratio_limit,
     v_max,
 )
-from qtreesearch.grover import iteration_count, run_grover, success_probability
+from qtreesearch.grover import QueryCounter, iteration_count, run_grover, success_probability
 from qtreesearch.oracles import (
     ConcatenatedOracle,
     ConjunctionOracle,
@@ -32,7 +32,6 @@ from qtreesearch.permutation import (
     build_permutation,
     compacted_search_state,
     permutation_matrix,
-    permutation_search,
 )
 from qtreesearch.runner import run_experiment, run_sweep, run_verification
 from qtreesearch.statevector import (
@@ -49,6 +48,7 @@ from qtreesearch.strategies import (
     disentangled_search,
     entangled_nested,
     flag_excitation,
+    measure_and_verify,
     product_subspace_search,
 )
 
@@ -278,7 +278,11 @@ def test_criterion_07_permutation():
 
     problem = _five_qubit_problem()
     exact = probability_map(compacted_search_state(problem).state).get("10101", 0.0)
-    result = permutation_search(problem, shots=256, seed=1)
+    counter = QueryCounter()
+    result = measure_and_verify(
+        problem, compacted_search_state(problem, counter).state, 256, 1, counter,
+        problem.matching_candidate_index(),
+    ).result
     ok = (
         matrices_ok
         and cnot_worst <= 1e-12

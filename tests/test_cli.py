@@ -274,6 +274,24 @@ class TestVerify:
         assert "passed: false" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--config", "fig_a_basic_4"),
+        # product and entangled never sample, so nothing downstream objects
+        ("verify", "--config", "fig_a_basic_0"),
+        ("verify", "--config", "fig_a_basic_2"),
+        ("sweep",),
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_negative_seed_exits_one(argv, capsys):
+    assert run_cli(*argv, "--seed", "-1", "--format", "json") == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert "seed must be non-negative, got -1" in captured.err
+    assert captured.out == ""
+
+
 class TestSweep:
     def test_all_placements_verify(self, capsys):
         assert run_cli("sweep", "--format", "json") == EXIT_OK

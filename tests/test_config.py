@@ -1,5 +1,6 @@
 """Config parsing, validation diagnostics, and bundled presets."""
 
+import dataclasses
 import json
 
 import pytest
@@ -110,6 +111,18 @@ def test_endianness_must_be_little():
 def test_zero_shots_rejected():
     with pytest.raises(ConfigurationError, match="shots"):
         config_from_mapping(dict(MINIMAL, shots=0))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="<memory>: seed must be non-negative, got -1"):
+        config_from_mapping(dict(MINIMAL, seed=-1))
+
+
+def test_negative_seed_override_rejected():
+    # the run and verify --seed overrides replace the field on a loaded config
+    config = config_from_mapping(dict(MINIMAL))
+    with pytest.raises(ConfigurationError, match="seed must be non-negative, got -3"):
+        dataclasses.replace(config, seed=-3)
 
 
 def test_bool_not_accepted_as_int():

@@ -16,23 +16,21 @@ from qtreesearch.oracles import (
 from qtreesearch.permutation import (
     PermutationSpec,
     apply_cnot_permutation,
-    apply_permutation,
-    apply_transpose,
     build_permutation,
     candidate_code,
     compacted_search_state,
     permutation_matrix,
-    permutation_search,
 )
 from qtreesearch.statevector import (
     Statevector,
+    apply_index_map,
     basis_state,
     init_uniform,
     probability_map,
     qubit_range,
     qubits,
 )
-from qtreesearch.strategies import SearchProblem
+from qtreesearch.strategies import SearchProblem, measure_and_verify, prepare_candidates
 
 TWO_ROUND_EIGHT = 121 / 128
 
@@ -197,7 +195,7 @@ class TestPermutationProperties:
         amps /= np.linalg.norm(amps)
         sv = Statevector(width, amps)
         on = qubit_range(0, width)
-        back = apply_transpose(apply_permutation(sv, spec, on), spec, on)
+        back = apply_index_map(apply_index_map(sv, spec.mapping, on), spec.inverse(), on)
         assert np.allclose(back.amplitudes, sv.amplitudes, atol=1e-12)
 
 
@@ -220,7 +218,7 @@ class TestCnotRealization:
         amps /= np.linalg.norm(amps)
         out = apply_cnot_permutation(Statevector(5, amps), spec, data, flags)
         assert np.allclose(np.abs(out.amplitudes[8:]), 0.0, atol=1e-12)
-        expect = apply_permutation(Statevector(5, amps), spec, data)
+        expect = apply_index_map(Statevector(5, amps), spec.mapping, data)
         assert np.allclose(out.amplitudes[:8], expect.amplitudes[:8], atol=1e-12)
 
     def test_noncontiguous_data_register(self):
@@ -247,6 +245,15 @@ class TestCnotRealization:
             apply_cnot_permutation(basis_state(5, 0), spec, qubit_range(0, 3), qubits(2, 3))
 
 
+def _verified_search(problem, counter=None, shots=256, seed=0, **options):
+    """The compacted search, sampled and checked as a permutation run checks it."""
+    counter = QueryCounter() if counter is None else counter
+    sv = compacted_search_state(problem, counter, **options).state
+    return measure_and_verify(
+        problem, sv, shots, seed, counter, problem.matching_candidate_index()
+    ).result
+
+
 class TestCompactedSearch:
     def test_exact_success_probability(self):
         problem = five_qubit_problem()
@@ -257,7 +264,7 @@ class TestCompactedSearch:
 
     def test_grover_prep_search(self):
         counter = QueryCounter()
-        result = permutation_search(
+        result = _verified_search(
             five_qubit_problem(), counter=counter, shots=256, seed=3
         )
         assert result.verified
@@ -270,7 +277,7 @@ class TestCompactedSearch:
 
     def test_basis_prep_search(self):
         counter = QueryCounter()
-        result = permutation_search(
+        result = _verified_search(
             five_qubit_problem(), counter=counter, prep="basis", shots=256, seed=3
         )
         assert result.verified
@@ -279,7 +286,7 @@ class TestCompactedSearch:
         assert counter.diffusion_calls == 2
 
     def test_standard_convention_search(self):
-        result = permutation_search(
+        result = _verified_search(
             five_qubit_problem(), convention="standard", shots=256, seed=5
         )
         assert result.verified
@@ -287,7 +294,7 @@ class TestCompactedSearch:
 
     def test_unknown_prep_rejected(self):
         with pytest.raises(ConfigurationError):
-            permutation_search(five_qubit_problem(), prep="adiabatic")
+            compacted_search_state(five_qubit_problem(), prep="adiabatic")
 
     def test_idle_lower_qubits_stay_clear(self):
         # After relabeling, all support must sit inside code block x upper
@@ -295,10 +302,8 @@ class TestCompactedSearch:
         problem = five_qubit_problem()
         counter = QueryCounter()
         spec = build_permutation(problem.candidates.strings(), convention="little_endian")
-        from qtreesearch.strategies import prepare_candidates
-
         sv = prepare_candidates(problem, counter)
-        sv = apply_permutation(sv, spec, problem.lower_qubits)
+        sv = apply_index_map(sv, spec.mapping, problem.lower_qubits)
         for label, weight in probability_map(sv).items():
             if weight > 1e-12:
                 assert label[-1] == "0"
@@ -321,7 +326,7 @@ class TestCompactedSearch:
         # candidates, on the idle-qubit block, which the conjugated oracle
         # never marks, so the solution stays the top outcome at every seed
         problem = self._half_filled_problem(upper, target)
-        found = [permutation_search(problem, seed=seed).found for seed in range(20)]
+        found = [_verified_search(problem, seed=seed).found for seed in range(20)]
         assert found == [problem.solution_bits] * 20
 
     @pytest.mark.parametrize("upper", [[2, -1], [-3, -2, 1]], ids=["m5", "m6"])

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtreesearch.errors import ConfigurationError, ValidationError
@@ -23,6 +23,7 @@ from qtreesearch.statevector import (
     apply_phase_flip,
     basis_state,
     init_uniform,
+    marginal_distribution,
     marginal_probability,
     partition_purity,
     probabilities,
@@ -107,6 +108,15 @@ class TestPhaseFlip:
         out = apply_phase_flip(sv, ONE, qubits(0))
         signs = np.array([1, -1] * 4)
         assert np.allclose(out.amplitudes, signs / math.sqrt(8))
+
+    def test_noncontiguous_pattern_reads_on0_as_bit0(self):
+        # sub-pattern 0b01 on qubits (0, 2): qubit 0 reads 1, qubit 2 reads 0,
+        # which holds for basis indices 0b001 and 0b011 only
+        sv = random_state(3, seed=21)
+        out = apply_phase_flip(sv, np.arange(4) == 0b01, qubits(0, 2))
+        expected = sv.amplitudes.copy()
+        expected[[0b001, 0b011]] *= -1
+        assert np.array_equal(out.amplitudes, expected)
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**10))
     def test_involution(self, m, seed):
@@ -204,6 +214,15 @@ class TestConditionalBitFlip:
         out = apply_conditional_bit_flip(sv, target=1, marked=ONE, on=qubits(0))
         assert probability_map(out) == {"00": 1.0}
 
+    def test_noncontiguous_pattern_reads_on0_as_bit0(self):
+        # target qubit 1 between controls (0, 2), sub-pattern 0b01: only the
+        # pair 0b001 <-> 0b011 trades amplitudes
+        sv = random_state(3, seed=22)
+        out = apply_conditional_bit_flip(sv, 1, np.arange(4) == 0b01, qubits(0, 2))
+        expected = sv.amplitudes.copy()
+        expected[[0b001, 0b011]] = sv.amplitudes[[0b011, 0b001]]
+        assert np.array_equal(out.amplitudes, expected)
+
     def test_target_among_controls_rejected(self):
         sv = init_uniform(2)
         with pytest.raises(ConfigurationError):
@@ -226,6 +245,18 @@ class TestIndexMap:
         sv = basis_state(3, 0b101)
         out = apply_index_map(sv, mapping, qubits(0, 1))
         assert probability_map(out) == {"110": 1.0}
+
+    def test_noncontiguous_asymmetric_mapping(self):
+        # on qubits (0, 2) the mapping sends sub-pattern 0->0, 1->2, 2->3,
+        # 3->1; reversing the sub-pattern bits would send 1 to 3 instead.
+        # Qubit 1 is carried along untouched.
+        destination = {
+            0b000: "000", 0b001: "100", 0b100: "101", 0b101: "001",
+            0b010: "010", 0b011: "110", 0b110: "111", 0b111: "011",
+        }
+        for source, label in destination.items():
+            out = apply_index_map(basis_state(3, source), [0, 2, 3, 1], qubits(0, 2))
+            assert probability_map(out) == {label: 1.0}, source
 
     def test_rejects_non_bijection(self):
         sv = init_uniform(2)
@@ -278,6 +309,15 @@ class TestMeasurement:
         assert marginal_probability(bell, qubits(0), 0) == pytest.approx(0.5)
         assert marginal_probability(bell, qubits(0, 1), 0b11) == pytest.approx(0.5)
 
+    def test_marginal_on_noncontiguous_qubits(self):
+        # sub-pattern 0b01 on qubits (0, 2) is held by basis indices 0b001
+        # and 0b011
+        sv = random_state(3, seed=23)
+        p = probabilities(sv)
+        assert marginal_probability(sv, qubits(0, 2), 0b01) == pytest.approx(p[1] + p[3])
+        dist = marginal_distribution(sv, qubits(0, 2))
+        assert dist == pytest.approx([p[0] + p[2], p[1] + p[3], p[4] + p[6], p[5] + p[7]])
+
 class TestPurity:
     def test_product_state_is_pure(self):
         sv = init_uniform(4)
@@ -287,12 +327,108 @@ class TestPurity:
         bell = Statevector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
         assert partition_purity(bell, qubits(0)) == pytest.approx(0.5)
 
+    def test_noncontiguous_part(self):
+        # a Bell pair on qubits (0, 2) with qubit 1 in |1>: the part (0, 2)
+        # is pure, and each of its qubits alone is maximally mixed
+        amps = np.zeros(8)
+        amps[0b010] = amps[0b111] = 1 / math.sqrt(2)
+        sv = Statevector(3, amps)
+        assert partition_purity(sv, qubits(0, 2)) == pytest.approx(1.0)
+        assert partition_purity(sv, qubits(0, 1)) == pytest.approx(0.5)
+        assert partition_purity(sv, qubits(2)) == pytest.approx(0.5)
+
     def test_rejects_trivial_partition(self):
         sv = init_uniform(2)
         with pytest.raises(ConfigurationError):
             partition_purity(sv, qubits())
         with pytest.raises(ConfigurationError):
             partition_purity(sv, qubits(0, 1))
+
+
+def _subpattern_by_loop(index, on):
+    return sum(((index >> q) & 1) << j for j, q in enumerate(on))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random state with a random qubit set; ``rest`` are the others."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    chosen = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    on = qubits(*sorted(chosen))
+    rest = [q for q in range(m) if q not in on]
+    return random_state(m, draw(st.integers(0, 2**32 - 1))), on, rest, draw(st.randoms())
+
+
+class TestKernelsAgreeWithMirrors:
+    """Fast kernels against the dense mirrors, on scattered qubit sets."""
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_phase_flip(self, case):
+        sv, on, _, rnd = case
+        marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
+        dense = svmod.dense_phase_flip_matrix(sv.num_qubits, marked, on) @ sv.amplitudes
+        assert np.allclose(apply_phase_flip(sv, marked, on).amplitudes, dense, atol=1e-12)
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_diffusion(self, case):
+        sv, on, _, _ = case
+        dense = svmod.dense_diffusion_matrix(sv.num_qubits, on) @ sv.amplitudes
+        assert np.allclose(apply_diffusion(sv, on).amplitudes, dense, atol=1e-12)
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_conditional_bit_flip(self, case):
+        sv, on, rest, rnd = case
+        if not rest:
+            # the target must lie outside the controls: give it the top
+            # control, which leaves at least one qubit controlling
+            on, rest = qubits(*on.indices[:-1]), [on.indices[-1]]
+        target = rnd.choice(rest)
+        marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
+        out = apply_conditional_bit_flip(sv, target, marked, on)
+        dense = svmod.dense_bit_flip_matrix(sv.num_qubits, target, marked, on) @ sv.amplitudes
+        assert np.allclose(out.amplitudes, dense, atol=1e-12)
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_index_map(self, case):
+        sv, on, _, rnd = case
+        mapping = list(range(2 ** len(on)))
+        rnd.shuffle(mapping)
+        dense = svmod.dense_index_map_matrix(sv.num_qubits, mapping, on) @ sv.amplitudes
+        assert np.allclose(apply_index_map(sv, mapping, on).amplitudes, dense, atol=1e-12)
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_marginal_is_a_per_index_sum(self, case):
+        sv, on, _, _ = case
+        p = probabilities(sv)
+        expected = [0.0] * 2 ** len(on)
+        for index in range(sv.dim):
+            expected[_subpattern_by_loop(index, on)] += p[index]
+        assert marginal_distribution(sv, on) == pytest.approx(expected, abs=1e-12)
+        for pattern, weight in enumerate(expected):
+            assert marginal_probability(sv, on, pattern) == pytest.approx(weight, abs=1e-12)
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_purity_is_the_trace_of_rho_squared(self, case):
+        sv, on, rest, _ = case
+        assume(rest)
+        # rho[p, p'] sums a(p, r) * conj(a(p', r)) over the patterns r of
+        # the other qubits
+        rho = np.zeros((2 ** len(on), 2 ** len(on)), dtype=np.complex128)
+        by_rest = {}
+        for index in range(sv.dim):
+            key = _subpattern_by_loop(index, rest)
+            by_rest.setdefault(key, {})[_subpattern_by_loop(index, on)] = sv.amplitudes[index]
+        for column in by_rest.values():
+            vec = np.array([column[p] for p in range(2 ** len(on))])
+            rho += np.outer(vec, vec.conj())
+        expected = float(np.real(np.trace(rho @ rho)))
+        assert partition_purity(sv, on) == pytest.approx(expected, abs=1e-12)
 
 
 class TestKernelCrossCheck:
