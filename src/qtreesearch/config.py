@@ -104,6 +104,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"purity cut {cut} is not a valid qubit list")
             if len(set(cut)) != len(cut):
                 raise ConfigurationError(f"purity cut {cut} repeats a qubit")
+            if any(hi <= lo for lo, hi in zip(cut, cut[1:])):
+                raise ConfigurationError(
+                    f"field 'purity_cuts': cut {list(cut)} must list its qubits in "
+                    "increasing order"
+                )
 
     @property
     def v(self) -> int:

@@ -42,33 +42,6 @@ def baseline_cost(m: int, k: int = 1) -> float:
     return math.sqrt(2**m / k)
 
 
-class DecompositionCost(NamedTuple):
-    sum: float
-    product: float
-    saves: bool
-
-
-def decomposition_cost(m: int, g: int) -> DecompositionCost:
-    """Two-stage search cost against the flat product it replaces.
-
-    With a = sqrt(2**g), b = sqrt(2**(m-g)) the flat cost is a*b and the
-    staged cost a+b, so staging wins exactly when (a-1)*(b-1) > 1.
-    """
-    _check_register(m)
-    if not 1 <= g <= m - 1:
-        raise ConfigurationError(f"split must satisfy 1 <= g <= {m - 1}, got {g}")
-    a = math.sqrt(2**g)
-    b = math.sqrt(2 ** (m - g))
-    return DecompositionCost(sum=a + b, product=a * b, saves=(a - 1) * (b - 1) > 1)
-
-
-def optimal_split(m: int) -> float:
-    """The real-valued minimizer of the staged cost; callers round."""
-    if m < 2:
-        raise ConfigurationError(f"register of {m} cannot be split")
-    return m / 2
-
-
 def iterative_cost(m: int, v: int) -> float:
     """Try candidates one by one: v trials of lower + upper + one check."""
     _check_register(m)
@@ -114,23 +87,6 @@ def times_ratio(m: int, v: int = 4) -> float:
 def times_ratio_limit(v: int = 4) -> float:
     _check_candidates(v)
     return 2 * v / (1 / math.sqrt(v) + 1 + v)
-
-
-def permutation_cost(m: int, v: int, prep: str = "grover") -> float:
-    """Relabel candidates into a compact block, then search the shrunk space.
-
-    The compacted search runs over m/2 + log2(v) qubits, costing
-    2**(m/4) * sqrt(v). Candidate preparation costs v classically
-    ("basis") or 2**(m/4)/sqrt(v) by amplification ("grover").
-    """
-    _check_register(m)
-    _check_candidates(v)
-    search = 2 ** (m / 4) * math.sqrt(v)
-    if prep == "basis":
-        return v + search
-    if prep == "grover":
-        return 2 ** (m / 4) / math.sqrt(v) + search
-    raise ConfigurationError(f"prep must be 'basis' or 'grover', got {prep!r}")
 
 
 @dataclass(frozen=True)

@@ -117,14 +117,6 @@ def build_permutation(
     )
 
 
-def permutation_matrix(spec: PermutationSpec) -> np.ndarray:
-    """Dense 0/1 unitary with column y carrying a 1 in row mapping[y]."""
-    n = 2**spec.width
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[list(spec.mapping), range(n)] = 1.0
-    return mat
-
-
 def apply_cnot_permutation(
     sv: Statevector, spec: PermutationSpec, data: QubitSet, flags: QubitSet
 ) -> Statevector:

@@ -7,8 +7,8 @@ them on the upper half, measure and check classically) and returns one
 measures one, a builder for the strategy's artifact sections (histogram,
 trials, blocks, relabeling) and the key of its cost model.
 ``run_experiment`` assembles the artifact from that record;
-``run_verification`` replays the same entry under a dense cross-check and
-never builds the sections.
+``run_verification`` replays the same entry under the kernel cross-check
+and never builds the sections.
 
 Reports are plain dicts of builtin types so they serialize byte-identically
 for a fixed config and seed. Wall-clock timing is deliberately kept out of
@@ -36,7 +36,12 @@ from .oracles import (
     PartialCandidateSet,
     int_to_bits,
 )
-from .permutation import PermutationSpec, apply_cnot_permutation, compacted_search_state
+from .permutation import (
+    PermutationSpec,
+    apply_cnot_permutation,
+    build_permutation,
+    compacted_search_state,
+)
 from .statevector import (
     KernelCrossCheck,
     QubitSet,
@@ -65,7 +70,6 @@ EXIT_CONFIG_ERROR = 1
 EXIT_UNVERIFIED = 2
 
 CROSSCHECK_TOLERANCE = 1e-10
-DENSE_CHECK_MAX_M = 8
 
 _BUDGETED = ("iterative", "disentangled", "permutation-basis-prep", "permutation-grover-prep")
 
@@ -95,8 +99,7 @@ class Run:
     it is called only when an artifact is assembled, so a replay under the
     cross-check does no rendering. ``verified`` is false when the strategy
     measured no verified answer; pure state preparation has nothing to
-    verify and counts as verified. ``relabeling`` is the basis relabeling a
-    permutation run searched under.
+    verify and counts as verified.
     """
 
     state: Statevector
@@ -104,7 +107,6 @@ class Run:
     cost_key: str
     verified: bool
     result: SearchResult | None = None
-    relabeling: PermutationSpec | None = None
 
 
 def _sampled(sv: Statevector, config: ExperimentConfig) -> dict:
@@ -226,7 +228,6 @@ def _run_permutation(
         f"permutation-{config.prep}-prep",
         measured.result.verified,
         result=measured.result,
-        relabeling=spec,
     )
 
 
@@ -347,19 +348,23 @@ def _cnot_equivalence(spec: PermutationSpec) -> dict:
 
 
 def run_verification(config: ExperimentConfig) -> tuple[dict, int]:
-    """Replay the config's run with every kernel mirrored densely.
+    """Replay the config's run with every kernel checked against its reference.
 
-    Passes only when every replayed kernel was checked within tolerance:
-    a kernel on a register wider than the cross-check's limit is reported
-    under ``skipped`` and fails the verification.
+    Every kernel the replay applies, on any register the simulator can
+    hold, is compared with its O(dim) reference output; the report passes
+    when all agree within tolerance. A permutation config first checks the
+    controlled-not realization of its relabeling, a pure function of the
+    candidates and the convention, so a relabeling too wide for that check
+    exits 1 before anything is simulated.
     """
-    if config.m > DENSE_CHECK_MAX_M:
-        raise ConfigurationError(
-            f"dense cross-check is limited to m <= {DENSE_CHECK_MAX_M}, got m={config.m}"
-        )
     problem = config.problem()
-    with KernelCrossCheck(max_qubits=12) as check:
-        run = STRATEGY_RUNS[config.strategy](config, problem, QueryCounter())
+    cnot = None
+    if config.strategy == "permutation":
+        cnot = _cnot_equivalence(
+            build_permutation(problem.candidates.strings(), convention=config.convention)
+        )
+    with KernelCrossCheck() as check:
+        STRATEGY_RUNS[config.strategy](config, problem, QueryCounter())
 
     worst_by_operation: dict[str, float] = {}
     for label, deviation in check.records:
@@ -374,12 +379,10 @@ def run_verification(config: ExperimentConfig) -> tuple[dict, int]:
             "by_operation": {
                 label: float(value) for label, value in sorted(worst_by_operation.items())
             },
-            "skipped": dict(sorted(check.skipped.items())),
         },
     }
-    passed = check.max_deviation <= CROSSCHECK_TOLERANCE and not check.skipped
-    if run.relabeling is not None:
-        cnot = _cnot_equivalence(run.relabeling)
+    passed = check.max_deviation <= CROSSCHECK_TOLERANCE
+    if cnot is not None:
         report["cnot_check"] = cnot
         passed = passed and cnot["max_deviation"] <= CROSSCHECK_TOLERANCE
     report["passed"] = bool(passed)

@@ -7,13 +7,15 @@ are functional, returning a fresh Statevector and leaving inputs untouched.
 
 Every kernel and read-out addresses a sub-register one way: the amplitudes
 viewed as a (2**k, rest) matrix whose row p is sub-pattern p. Every kernel
-also has a dense-matrix mirror, used by the cross-check context, that is
-built from basis-index bit arithmetic instead. The two routes share no
-index code, so a fault in either shows as a deviation.
+also has an O(dim) reference, used by the cross-check context, that
+computes the same output from basis-index bit arithmetic instead: a sign
+per index, a destination per index, or a sum per diffusion block. The two
+routes share no index code, so a fault in either shows as a deviation.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,37 +123,34 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
 
 
 # ---------------------------------------------------------------------------
-# cross-check context: every kernel application is mirrored against an
-# explicitly built dense matrix while a check is active.
+# cross-check context: every kernel application is compared with its
+# reference output while a check is active.
 
-_ACTIVE_CHECK: "KernelCrossCheck | None" = None
+_ACTIVE_CHECK: contextvars.ContextVar["KernelCrossCheck | None"] = contextvars.ContextVar(
+    "qtreesearch_kernel_check", default=None
+)
 
 
 class KernelCrossCheck:
-    """Context that compares each fast kernel against its dense construction.
+    """Context that compares each fast kernel against its O(dim) reference.
 
-    Registers wider than ``max_qubits`` are not checked (the dense mirror is
-    quadratic in the dimension); each such kernel call is counted per
-    operation in ``skipped``. Deviations are recorded per operation and
-    summarized in ``max_deviation``.
+    Every kernel call inside the context is checked, on any register the
+    simulator can hold. Deviations are recorded per operation and
+    summarized in ``max_deviation``. Contexts nest: the innermost one
+    records, and the enclosing one resumes when it exits.
     """
 
-    def __init__(self, max_qubits: int = 12) -> None:
-        self.max_qubits = max_qubits
+    def __init__(self) -> None:
         self.max_deviation = 0.0
         self.records: list[tuple[str, float]] = []
-        self.skipped: dict[str, int] = {}
-        self._previous: KernelCrossCheck | None = None
+        self._token: contextvars.Token | None = None
 
     def __enter__(self) -> "KernelCrossCheck":
-        global _ACTIVE_CHECK
-        self._previous = _ACTIVE_CHECK
-        _ACTIVE_CHECK = self
+        self._token = _ACTIVE_CHECK.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_CHECK
-        _ACTIVE_CHECK = self._previous
+        _ACTIVE_CHECK.reset(self._token)
 
     def record(self, label: str, deviation: float) -> None:
         self.records.append((label, deviation))
@@ -159,19 +158,11 @@ class KernelCrossCheck:
 
 
 def _maybe_crosscheck(
-    label: str,
-    before: Statevector,
-    fast: np.ndarray,
-    matrix_builder: Callable[[], np.ndarray],
+    label: str, fast: np.ndarray, reference: Callable[[], np.ndarray]
 ) -> None:
-    check = _ACTIVE_CHECK
-    if check is None:
-        return
-    if before.num_qubits > check.max_qubits:
-        check.skipped[label] = check.skipped.get(label, 0) + 1
-        return
-    dense = matrix_builder() @ before.amplitudes
-    check.record(label, float(np.max(np.abs(fast - dense))))
+    check = _ACTIVE_CHECK.get()
+    if check is not None:
+        check.record(label, float(np.max(np.abs(fast - reference()))))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +218,7 @@ def apply_phase_flip(
     marked = _checked_mask(marked, on)
     signs = np.where(marked, -1.0, 1.0)[:, None]
     out = _from_rows(_rows(sv, on.indices) * signs, sv.num_qubits, on.indices)
-    _maybe_crosscheck(
-        "phase_flip", sv, out, lambda: dense_phase_flip_matrix(sv.num_qubits, marked, on)
-    )
+    _maybe_crosscheck("phase_flip", out, lambda: dense_phase_flip_matrix(sv, marked, on))
     return Statevector(sv.num_qubits, out)
 
 
@@ -247,9 +236,7 @@ def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevecto
     order = on.indices[::-1]
     rows = _rows(sv, order)
     out = _from_rows(2.0 * rows.mean(axis=0)[None, :] - rows, sv.num_qubits, order)
-    _maybe_crosscheck(
-        "diffusion", sv, out, lambda: dense_diffusion_matrix(sv.num_qubits, on)
-    )
+    _maybe_crosscheck("diffusion", out, lambda: dense_diffusion_matrix(sv, on))
     return Statevector(sv.num_qubits, out)
 
 
@@ -278,10 +265,7 @@ def apply_conditional_bit_flip(
     swapped = np.where(marked[:, None], halves[::-1], halves)
     out = _from_rows(swapped, sv.num_qubits, order)
     _maybe_crosscheck(
-        "conditional_bit_flip",
-        sv,
-        out,
-        lambda: dense_bit_flip_matrix(sv.num_qubits, target, marked, on),
+        "conditional_bit_flip", out, lambda: dense_bit_flip_matrix(sv, target, marked, on)
     )
     return Statevector(sv.num_qubits, out)
 
@@ -300,9 +284,7 @@ def apply_index_map(
     moved = np.empty_like(rows)
     moved[arr] = rows
     out = _from_rows(moved, sv.num_qubits, on.indices)
-    _maybe_crosscheck(
-        "index_map", sv, out, lambda: dense_index_map_matrix(sv.num_qubits, mapping, on)
-    )
+    _maybe_crosscheck("index_map", out, lambda: dense_index_map_matrix(sv, mapping, on))
     return Statevector(sv.num_qubits, out)
 
 
@@ -370,8 +352,10 @@ def marginal_probability(
 
 
 # ---------------------------------------------------------------------------
-# dense reference constructions: basis-index arithmetic, sharing no index
-# code with the kernels above
+# reference outputs: basis-index arithmetic, sharing no index code with the
+# kernels above. Each takes the kernel's input and returns the amplitudes
+# the kernel must produce, in O(dim) time and memory. The names keep their
+# old `_matrix` suffix because bench/tracing.py wraps them by name.
 
 def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
     """Bits of each basis index at the given positions, packed little-endian."""
@@ -381,54 +365,65 @@ def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
     return sub
 
 
+def _moved(sv: Statevector, dest: np.ndarray) -> np.ndarray:
+    """Amplitudes with basis index i carried to dest[i]."""
+    out = np.empty_like(sv.amplitudes)
+    out[dest] = sv.amplitudes
+    return out
+
+
 def dense_phase_flip_matrix(
-    num_qubits: int, marked: np.ndarray, on: QubitSet | Sequence[int]
+    sv: Statevector, marked: np.ndarray, on: QubitSet | Sequence[int]
 ) -> np.ndarray:
+    """Reference output of ``apply_phase_flip``: a sign per basis index."""
     on = _as_qubitset(on)
     marked = _checked_mask(marked, on)
-    idx = np.arange(2**num_qubits)
-    signs = np.where(marked[_subpattern(idx, on)], -1.0, 1.0)
-    return np.diag(signs).astype(np.complex128)
+    idx = np.arange(sv.dim)
+    return np.where(marked[_subpattern(idx, on)], -1.0, 1.0) * sv.amplitudes
 
 
-def dense_diffusion_matrix(num_qubits: int, on: QubitSet | Sequence[int]) -> np.ndarray:
+def dense_diffusion_matrix(sv: Statevector, on: QubitSet | Sequence[int]) -> np.ndarray:
+    """Reference output of ``apply_diffusion``: 2 * block mean - amplitude.
+
+    A block is the set of basis indices that agree outside ``on``; its id
+    is the index with the ``on`` bits cleared.
+    """
     on = _as_qubitset(on)
-    k = len(on)
-    idx = np.arange(2**num_qubits)
+    idx = np.arange(sv.dim)
     mask = 0
     for q in on.indices:
         mask |= 1 << q
     block = idx & ~mask
-    same_block = block[:, None] == block[None, :]
-    return (same_block * (2.0 / 2**k) - np.eye(2**num_qubits)).astype(np.complex128)
+    amps = sv.amplitudes
+    sums = np.bincount(block, weights=amps.real, minlength=sv.dim) + 1j * np.bincount(
+        block, weights=amps.imag, minlength=sv.dim
+    )
+    return 2.0 * sums[block] / 2 ** len(on) - amps
 
 
 def dense_bit_flip_matrix(
-    num_qubits: int,
+    sv: Statevector,
     target: int,
     marked: np.ndarray,
     on: QubitSet | Sequence[int],
 ) -> np.ndarray:
+    """Reference output of ``apply_conditional_bit_flip``: a destination per index."""
     on = _as_qubitset(on)
     marked = _checked_mask(marked, on)
-    idx = np.arange(2**num_qubits)
-    dest = np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx)
-    mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
-    mat[dest, idx] = 1.0
-    return mat
+    idx = np.arange(sv.dim)
+    return _moved(sv, np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx))
 
 
 def dense_index_map_matrix(
-    num_qubits: int, mapping: Sequence[int], on: QubitSet | Sequence[int]
+    sv: Statevector, mapping: Sequence[int], on: QubitSet | Sequence[int]
 ) -> np.ndarray:
+    """Reference output of ``apply_index_map``: a destination per index."""
     on = _as_qubitset(on)
     arr = np.asarray(mapping, dtype=np.int64)
-    idx = np.arange(2**num_qubits)
+    idx = np.arange(sv.dim)
     sub = _subpattern(idx, on)
     delta = sub ^ arr[sub]
     dest = idx.copy()
     for j, q in enumerate(on.indices):
         dest ^= ((delta >> j) & 1) << q
-    mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
-    mat[dest, idx] = 1.0
-    return mat
+    return _moved(sv, dest)

@@ -14,9 +14,8 @@ from qtreesearch.cli import render_json, render_run_csv
 from qtreesearch.config import bundled_configs, load_config
 from qtreesearch.costs import (
     baseline_cost,
-    decomposition_cost,
+    cost_breakdown,
     iterative_cost,
-    optimal_split,
     times_ratio,
     times_ratio_limit,
     v_max,
@@ -31,7 +30,6 @@ from qtreesearch.permutation import (
     apply_cnot_permutation,
     build_permutation,
     compacted_search_state,
-    permutation_matrix,
 )
 from qtreesearch.runner import run_experiment, run_sweep, run_verification
 from qtreesearch.statevector import (
@@ -262,9 +260,10 @@ HIGH_CODE_MATRIX = np.array(
 def test_criterion_07_permutation():
     low = build_permutation(["011", "101"], convention="standard")
     high = build_permutation(["011", "101"], convention="little_endian")
-    matrices_ok = np.array_equal(
-        permutation_matrix(low), LOW_CODE_MATRIX
-    ) and np.array_equal(permutation_matrix(high), HIGH_CODE_MATRIX)
+    # column y of a relabeling matrix carries its 1 in row mapping[y]
+    matrices_ok = low.mapping == tuple(
+        np.argmax(LOW_CODE_MATRIX, axis=0)
+    ) and high.mapping == tuple(np.argmax(HIGH_CODE_MATRIX, axis=0))
 
     cnot_worst = 0.0
     for spec in (low, high):
@@ -305,14 +304,16 @@ def test_criterion_08_cost_model():
         iteration_count(n, n // 4) == 1 for n in (4, 8, 16, 64, 256, 1024, 4096)
     )
 
+    def staged(m, g):
+        return cost_breakdown("decomposition-ideal", m, g=g).total
+
     split_ok = True
     for m in range(2, 25):
-        best_g = min(range(1, m), key=lambda g: decomposition_cost(m, g).sum)
-        midpoint = decomposition_cost(m, m // 2).sum
+        best_g = min(range(1, m), key=lambda g: staged(m, g))
         split_ok = (
             split_ok
-            and abs(decomposition_cost(m, best_g).sum - midpoint) <= 1e-9
-            and abs(optimal_split(m) - m / 2) <= 1e-12
+            and abs(staged(m, best_g) - staged(m, m // 2)) <= 1e-9
+            and best_g in (math.floor(m / 2), math.ceil(m / 2))
         )
 
     sampled = {m: times_ratio(m, 4) for m in (24, 32, 64, 128)}
@@ -327,9 +328,10 @@ def test_criterion_08_cost_model():
         for v in range(1, cap + 1):
             budget_ok = budget_ok and iterative_cost(m, v) < baseline_cost(m)
 
+    # staging saves exactly when (a-1)(b-1) > 1, a = sqrt(2**g), b = sqrt(2**(m-g))
     saves_ok = all(
-        decomposition_cost(m, g).saves
-        == (decomposition_cost(m, g).sum < decomposition_cost(m, g).product)
+        (staged(m, g) < baseline_cost(m) - 1e-9)
+        == ((math.sqrt(2**g) - 1) * (math.sqrt(2 ** (m - g)) - 1) > 1 + 1e-9)
         for m in range(2, 31)
         for g in range(1, m)
     )
@@ -343,8 +345,8 @@ def test_criterion_08_cost_model():
         f"ratio = {', '.join(f'{ratio:.4f} (m={m})' for m, ratio in sampled.items())} "
         f"with limit {limit:.4f}, all within 1.45 +/- 0.02 (the pinned formula "
         f"gives exactly {boundary:.2f} at m=16 and enters the band at m=23); "
-        "budget implication holds for m in 4..20; saves flag agrees with direct "
-        "comparison for 1 <= g < m <= 30",
+        "budget implication holds for m in 4..20; staging saves exactly when "
+        "(a-1)(b-1) > 1 for 1 <= g < m <= 30",
     )
 
 
@@ -365,7 +367,7 @@ def test_criterion_09_dense_crosscheck():
     _report(
         9,
         ok,
-        f"{len(checked)}/5 bundled configs replayed with dense mirrors, "
+        f"{len(checked)}/5 bundled configs replayed with every kernel checked, "
         f"worst elementwise deviation = {worst:.2e}",
     )
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import qtreesearch.runner as runmod
 import qtreesearch.statevector as svmod
 from qtreesearch.cli import main
 from qtreesearch.runner import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNVERIFIED
@@ -223,13 +224,13 @@ class TestVerify:
         assert report["cnot_check"]["max_deviation"] <= 1e-10
 
     def test_corrupted_mirror_detected(self, capsys, monkeypatch):
-        # poison the dense reference so the kernels and mirror disagree
+        # poison the diffusion reference so the kernels and mirror disagree
         original = svmod.dense_diffusion_matrix
 
-        def poisoned(num_qubits, on):
-            matrix = original(num_qubits, on)
-            matrix[0, 0] += 0.01
-            return matrix
+        def poisoned(sv, on):
+            out = original(sv, on)
+            out[0] += 0.01
+            return out
 
         monkeypatch.setattr(svmod, "dense_diffusion_matrix", poisoned)
         code = run_cli("verify", "--config", "fig_a_basic_2", "--format", "json")
@@ -238,14 +239,16 @@ class TestVerify:
         assert report["passed"] is False
         assert report["kernel_checks"]["max_deviation"] > 1e-10
 
-    def test_wide_register_exits_one(self, tmp_path, capsys):
+    def test_wide_register_passes(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             "strategy: product\nm: 12\ng: 6\nupper_oracle: [6, -5, 4, -3, 2, 1]\n"
             'lower_oracle: [6, 5, -4, 3, -2, 1]\ncandidates: ["110101"]\n',
         )
-        assert run_cli("verify", "--config", config) == EXIT_CONFIG_ERROR
-        assert "m <= 8" in capsys.readouterr().err
+        assert run_cli("verify", "--config", config, "--format", "json") == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert list(report["kernel_checks"]["by_operation"]) == ["diffusion", "phase_flip"]
 
     def test_text_report(self, capsys):
         run_cli("verify", "--config", "fig_a_basic_0")
@@ -253,9 +256,9 @@ class TestVerify:
         assert "passed: true" in out
         assert "kernel checks:" in out
 
-    def test_uncovered_composite_fails(self, tmp_path, capsys):
-        # the disentangled composite has 4 + 2 * (4 + 1) = 14 qubits, wider
-        # than the dense mirrors reach, so its kernels go unchecked
+    def test_widest_composite_is_covered(self, tmp_path, capsys):
+        # the disentangled composite has 4 + 2 * (4 + 1) = 14 qubits, and
+        # every kernel kind it applies is checked on it
         config = write_config(
             tmp_path,
             "strategy: disentangled\nm: 8\ng: 4\nupper_oracle: [4, -3, -2, 1]\n"
@@ -263,15 +266,39 @@ class TestVerify:
             "shots: 1024\nseed: 11\n",
         )
         code = run_cli("verify", "--config", config, "--format", "json")
-        assert code == EXIT_UNVERIFIED
+        assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["passed"] is False
-        assert report["kernel_checks"]["skipped"]["conditional_bit_flip"] > 0
-        assert "conditional_bit_flip" not in report["kernel_checks"]["by_operation"]
+        assert report["passed"] is True
+        assert "skipped" not in report["kernel_checks"]
+        assert list(report["kernel_checks"]["by_operation"]) == [
+            "conditional_bit_flip", "diffusion", "phase_flip"
+        ]
         run_cli("verify", "--config", config)
-        out = capsys.readouterr().out
-        assert "skipped conditional_bit_flip:" in out
-        assert "passed: false" in out
+        assert "passed: true" in capsys.readouterr().out
+
+    def test_too_wide_cnot_check_exits_one_before_the_replay(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # g = 10 data qubits plus one flag per relabeling swap exceed the
+        # controlled-not check's 12 qubits; nothing may be simulated first
+        calls = []
+        original = runmod.compacted_search_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runmod, "compacted_search_state", counted)
+        config = write_config(
+            tmp_path,
+            "strategy: permutation\nm: 20\ng: 10\n"
+            "upper_oracle: [10, -9, 8, -7, 6, -5, 4, -3, 2, -1]\n"
+            "lower_oracle: [10, 9, -8, 7, -6, 5, -4, 3, -2, 1]\n"
+            'candidates: ["0110101010", "1110101011", "1010101011", "1101010101"]\n',
+        )
+        assert run_cli("verify", "--config", config) == EXIT_CONFIG_ERROR
+        assert "controlled-not check needs 14 qubits, limit is 12" in capsys.readouterr().err
+        assert calls == []
 
 
 @pytest.mark.parametrize(

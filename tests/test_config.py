@@ -140,6 +140,16 @@ def test_purity_cut_duplicates_rejected():
         config_from_mapping(dict(MINIMAL, purity_cuts=[[1, 1]]))
 
 
+def test_unsorted_purity_cut_rejected_at_load(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text(json.dumps(dict(MINIMAL, purity_cuts=[[0, 1], [2, 0]])))
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(path)
+    assert str(caught.value) == (
+        f"{path}: field 'purity_cuts': cut [2, 0] must list its qubits in increasing order"
+    )
+
+
 def test_top_level_must_be_mapping():
     with pytest.raises(ConfigurationError, match="mapping"):
         config_from_mapping(["not", "a", "mapping"])

@@ -11,11 +11,8 @@ from qtreesearch.costs import (
     baseline_cost,
     candidate_budget_validity,
     cost_breakdown,
-    decomposition_cost,
     disentangled_cost,
     iterative_cost,
-    optimal_split,
-    permutation_cost,
     times_ratio,
     times_ratio_limit,
     v_max,
@@ -34,53 +31,34 @@ class TestBaseline:
             baseline_cost(4, k=0)
 
 
+def _staged(m, g):
+    return cost_breakdown("decomposition-ideal", m, g=g).total
+
+
 class TestDecomposition:
+    # staged cost a + b against the flat a * b, with a = sqrt(2**g) and
+    # b = sqrt(2**(m-g)): staging saves exactly when (a-1)(b-1) > 1
     def test_even_split_saves(self):
-        row = decomposition_cost(6, 3)
-        assert row.sum == pytest.approx(2 * math.sqrt(8))
-        assert row.product == pytest.approx(8.0)
-        assert row.saves
+        assert _staged(6, 3) == pytest.approx(2 * math.sqrt(8))
+        assert _staged(6, 3) < baseline_cost(6)
 
     def test_tiny_registers_do_not_save(self):
-        assert not decomposition_cost(2, 1).saves
-        assert not decomposition_cost(3, 1).saves
+        assert _staged(2, 1) > baseline_cost(2)
+        assert _staged(3, 1) > baseline_cost(3)
 
     def test_boundary_case_is_not_a_save(self):
         # (2-1)*(2-1) = 1 exactly: staged cost equals the flat cost
-        row = decomposition_cost(4, 2)
-        assert row.sum == pytest.approx(row.product)
-        assert not row.saves
-
-    def test_saves_flag_agrees_with_direct_comparison(self):
-        for m in range(2, 31):
-            for g in range(1, m):
-                row = decomposition_cost(m, g)
-                assert row.saves == (row.sum < row.product - 1e-12) or (
-                    abs(row.sum - row.product) < 1e-9 and not row.saves
-                )
+        assert _staged(4, 2) == pytest.approx(baseline_cost(4))
 
     def test_symmetry(self):
         for m in range(2, 16):
             for g in range(1, m):
-                assert decomposition_cost(m, g).sum == pytest.approx(
-                    decomposition_cost(m, m - g).sum
-                )
-
-    def test_optimal_split_is_the_midpoint(self):
-        assert optimal_split(6) == pytest.approx(3.0)
-        assert optimal_split(5) == pytest.approx(2.5)
+                assert _staged(m, g) == pytest.approx(_staged(m, m - g))
 
     def test_integer_scan_certifies_the_midpoint(self):
         for m in range(2, 25):
-            target = optimal_split(m)
-            best = min(range(1, m), key=lambda g: decomposition_cost(m, g).sum)
-            assert best in (math.floor(target), math.ceil(target))
-
-    def test_rejects_degenerate_split(self):
-        with pytest.raises(ConfigurationError):
-            decomposition_cost(4, 0)
-        with pytest.raises(ConfigurationError):
-            decomposition_cost(4, 4)
+            best = min(range(1, m), key=lambda g: _staged(m, g))
+            assert best in (math.floor(m / 2), math.ceil(m / 2))
 
 
 class TestIterative:
@@ -140,25 +118,23 @@ class TestDisentangled:
 
 class TestPermutation:
     def test_pinned_small_case(self):
-        assert permutation_cost(8, 4, prep="grover") == pytest.approx(10.0)
-        assert permutation_cost(8, 4, prep="basis") == pytest.approx(12.0)
-
-    def test_rejects_unknown_prep(self):
-        with pytest.raises(ConfigurationError):
-            permutation_cost(8, 4, prep="magic")
+        assert cost_breakdown("permutation-grover-prep", 8, v=4).total == pytest.approx(10.0)
+        assert cost_breakdown("permutation-basis-prep", 8, v=4).total == pytest.approx(12.0)
 
     @given(st.integers(min_value=4, max_value=40), st.integers(min_value=2, max_value=64))
     def test_prep_variants_differ_only_in_preparation(self, m, v):
         unit = 2 ** (m / 4)
-        diff = permutation_cost(m, v, "basis") - permutation_cost(m, v, "grover")
-        assert diff == pytest.approx(v - unit / math.sqrt(v), abs=1e-9)
+        basis = cost_breakdown("permutation-basis-prep", m, v=v)
+        grover = cost_breakdown("permutation-grover-prep", m, v=v)
+        assert basis.terms["compacted_search"] == grover.terms["compacted_search"]
+        assert basis.total - grover.total == pytest.approx(v - unit / math.sqrt(v), abs=1e-9)
 
 
 class TestOrdering:
     def test_chain_at_candidate_counts_near_register_width(self):
         for m in (8, 12, 16, 20):
             v = m
-            perm = permutation_cost(m, v, "grover")
+            perm = cost_breakdown("permutation-grover-prep", m, v=v).total
             dis = disentangled_cost(m, v)
             it = iterative_cost(m, v)
             assert perm <= dis <= it
@@ -178,11 +154,11 @@ class TestBreakdown:
     def test_totals_match_components(self):
         for strategy, kwargs, expected in [
             ("baseline", {}, baseline_cost(8)),
-            ("decomposition-ideal", {"g": 4}, decomposition_cost(8, 4).sum),
+            ("decomposition-ideal", {"g": 4}, 8.0),
             ("iterative", {"v": 4}, iterative_cost(8, 4)),
             ("disentangled", {"v": 4}, disentangled_cost(8, 4)),
-            ("permutation-basis-prep", {"v": 4}, permutation_cost(8, 4, "basis")),
-            ("permutation-grover-prep", {"v": 4}, permutation_cost(8, 4, "grover")),
+            ("permutation-basis-prep", {"v": 4}, 12.0),
+            ("permutation-grover-prep", {"v": 4}, 10.0),
         ]:
             row = cost_breakdown(strategy, 8, **kwargs)
             assert row.total == pytest.approx(expected)
@@ -193,6 +169,10 @@ class TestBreakdown:
             CostBreakdown(
                 strategy="baseline", m=4, g=None, v=None, total=5.0, terms={"search": 4.0}
             )
+
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ConfigurationError):
+            cost_breakdown("permutation-magic-prep", 8, v=4)
 
     def test_rejects_missing_v(self):
         with pytest.raises(ConfigurationError):

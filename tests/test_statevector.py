@@ -1,7 +1,7 @@
 """Kernel checks against independently built dense matrices.
 
 The reference route here is deliberately different from the library's own
-dense builders: matrices are assembled with np.kron in MSB-first factor
+reference outputs: matrices are assembled with np.kron in MSB-first factor
 order, so an agreement failure flags a convention drift, not a shared bug.
 """
 
@@ -150,9 +150,9 @@ class TestOracleMask:
     @pytest.mark.parametrize("name", sorted(BAD_MASKS))
     def test_dense_mirrors_reject(self, name):
         with pytest.raises(ConfigurationError):
-            svmod.dense_phase_flip_matrix(2, self.BAD_MASKS[name], qubits(0))
+            svmod.dense_phase_flip_matrix(init_uniform(2), self.BAD_MASKS[name], qubits(0))
         with pytest.raises(ConfigurationError):
-            svmod.dense_bit_flip_matrix(2, 1, self.BAD_MASKS[name], qubits(0))
+            svmod.dense_bit_flip_matrix(init_uniform(2), 1, self.BAD_MASKS[name], qubits(0))
 
 
 class TestDiffusion:
@@ -360,21 +360,21 @@ def kernel_cases(draw):
 
 
 class TestKernelsAgreeWithMirrors:
-    """Fast kernels against the dense mirrors, on scattered qubit sets."""
+    """Fast kernels against their reference outputs, on scattered qubit sets."""
 
     @given(kernel_cases())
     @settings(max_examples=60, deadline=None)
     def test_phase_flip(self, case):
         sv, on, _, rnd = case
         marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
-        dense = svmod.dense_phase_flip_matrix(sv.num_qubits, marked, on) @ sv.amplitudes
+        dense = svmod.dense_phase_flip_matrix(sv, marked, on)
         assert np.allclose(apply_phase_flip(sv, marked, on).amplitudes, dense, atol=1e-12)
 
     @given(kernel_cases())
     @settings(max_examples=60, deadline=None)
     def test_diffusion(self, case):
         sv, on, _, _ = case
-        dense = svmod.dense_diffusion_matrix(sv.num_qubits, on) @ sv.amplitudes
+        dense = svmod.dense_diffusion_matrix(sv, on)
         assert np.allclose(apply_diffusion(sv, on).amplitudes, dense, atol=1e-12)
 
     @given(kernel_cases())
@@ -388,7 +388,7 @@ class TestKernelsAgreeWithMirrors:
         target = rnd.choice(rest)
         marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
         out = apply_conditional_bit_flip(sv, target, marked, on)
-        dense = svmod.dense_bit_flip_matrix(sv.num_qubits, target, marked, on) @ sv.amplitudes
+        dense = svmod.dense_bit_flip_matrix(sv, target, marked, on)
         assert np.allclose(out.amplitudes, dense, atol=1e-12)
 
     @given(kernel_cases())
@@ -397,7 +397,7 @@ class TestKernelsAgreeWithMirrors:
         sv, on, _, rnd = case
         mapping = list(range(2 ** len(on)))
         rnd.shuffle(mapping)
-        dense = svmod.dense_index_map_matrix(sv.num_qubits, mapping, on) @ sv.amplitudes
+        dense = svmod.dense_index_map_matrix(sv, mapping, on)
         assert np.allclose(apply_index_map(sv, mapping, on).amplitudes, dense, atol=1e-12)
 
     @given(kernel_cases())
@@ -442,23 +442,67 @@ class TestKernelCrossCheck:
         assert len(check.records) == 4
         assert check.max_deviation < 1e-12
 
-    def test_detects_a_corrupted_mirror(self, monkeypatch):
-        # sanity check that the comparison is live: poison the dense route
-        # and the deviation must be seen
-        real = svmod.dense_diffusion_matrix
+    # reference name -> (operation label, one two-qubit call of its kernel)
+    EACH_KERNEL = {
+        "dense_phase_flip_matrix": (
+            "phase_flip", lambda sv: apply_phase_flip(sv, ONE, qubits(0))
+        ),
+        "dense_diffusion_matrix": (
+            "diffusion", lambda sv: apply_diffusion(sv, qubits(0, 1))
+        ),
+        "dense_bit_flip_matrix": (
+            "conditional_bit_flip", lambda sv: apply_conditional_bit_flip(sv, 1, ONE, qubits(0))
+        ),
+        "dense_index_map_matrix": (
+            "index_map", lambda sv: apply_index_map(sv, [1, 0], qubits(1))
+        ),
+    }
 
-        def poisoned(num_qubits, on):
-            mat = real(num_qubits, on).copy()
-            mat[0, 0] += 0.25
-            return mat
+    @pytest.mark.parametrize("name", sorted(EACH_KERNEL))
+    def test_detects_a_corrupted_mirror(self, monkeypatch, name):
+        # the check must be live and go through the reference's module-level
+        # name: poison that name and the deviation must be seen
+        real = getattr(svmod, name)
 
-        monkeypatch.setattr(svmod, "dense_diffusion_matrix", poisoned)
+        def poisoned(*args):
+            out = real(*args).copy()
+            out[0] += 0.25
+            return out
+
+        monkeypatch.setattr(svmod, name, poisoned)
+        label, kernel = self.EACH_KERNEL[name]
         with KernelCrossCheck() as check:
-            apply_diffusion(init_uniform(2), qubits(0, 1))
+            kernel(random_state(2, 7))
+        assert [record[0] for record in check.records] == [label]
         assert check.max_deviation > 0.01
 
-    def test_skips_wide_registers(self):
-        with KernelCrossCheck(max_qubits=2) as check:
-            apply_diffusion(init_uniform(3), qubit_range(0, 3))
-        assert check.records == []
-        assert check.skipped == {"diffusion": 1}
+    def test_every_kind_is_mirrored_on_the_widest_register(self):
+        sv = random_state(svmod.MAX_QUBITS, 3)
+        wide = qubit_range(0, svmod.MAX_QUBITS - 1)
+        top = svmod.MAX_QUBITS - 1
+        marked = np.zeros(2 ** len(wide), dtype=bool)
+        marked[[5, 1234, 2**18 + 9]] = True
+        with KernelCrossCheck() as check:
+            sv = apply_phase_flip(sv, marked, wide)
+            sv = apply_diffusion(sv, qubits(0, 3, 7, 12, top))
+            sv = apply_conditional_bit_flip(sv, top, marked, wide)
+            mapping = np.random.default_rng(0).permutation(2**6)
+            apply_index_map(sv, mapping, qubits(1, 4, 9, 11, 15, top))
+        assert sorted(label for label, _ in check.records) == [
+            "conditional_bit_flip", "diffusion", "index_map", "phase_flip"
+        ]
+        assert check.max_deviation <= 1e-12
+
+    def test_nested_contexts_record_into_the_inner_one(self):
+        sv = init_uniform(3)
+        with KernelCrossCheck() as outer:
+            apply_diffusion(sv, qubits(0, 1))
+            with KernelCrossCheck() as inner:
+                apply_phase_flip(sv, ONE, qubits(2))
+                apply_diffusion(sv, qubits(2))
+            apply_index_map(sv, [1, 0], qubits(1))
+        assert [label for label, _ in inner.records] == ["phase_flip", "diffusion"]
+        assert [label for label, _ in outer.records] == ["diffusion", "index_map"]
+        # and none is active once both have exited
+        apply_diffusion(sv, qubits(0))
+        assert len(outer.records) == 2 and len(inner.records) == 2
