@@ -1,8 +1,11 @@
 """Command line front end: run, cost, verify, and sweep subcommands.
 
 Machine-readable output (json, csv) is a pure function of config and seed;
-wall-clock timing appears only in the text renderer. Files are written by
-temp-file-and-rename so readers never observe a partial artifact.
+wall-clock timing appears only in the text renderer. JSON output is byte
+for byte what ``json.dumps(payload, indent=2, sort_keys=True)`` writes, from
+a renderer of its own (``render_json``) that refuses NaN and infinity.
+Files are written by temp-file-and-rename so readers never observe a
+partial artifact.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -49,8 +53,111 @@ SWEEP_COLUMNS = (
 HISTOGRAM_COLUMNS = ("label", "count", "probability")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _NonFinite(Exception):
+    """A NaN or infinite float, with the key path collected on the way out."""
+
+    def __init__(self, value: float) -> None:
+        super().__init__(value)
+        self.value = value
+        self.path: list[str] = []
+
+
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+
+    The same bytes, from a renderer that handles only what an artifact
+    holds: dicts with str keys, lists, tuples, str, bool, None, int and
+    float. With ``indent`` set, ``json.dumps`` always runs its pure-Python
+    encoder; this one does less per value and writes a histogram leaf
+    ``{"count": int, "probability": float}`` in one f-string. A NaN or
+    infinite float raises ConfigurationError naming its key path, where
+    ``json.dumps`` would write ``NaN``, which is not JSON. Any other type,
+    or a non-str key, raises TypeError.
+    """
+    out: list[str] = []
+    try:
+        _render(payload, "\n", out)
+    except _NonFinite as exc:
+        where = "".join(reversed(exc.path)).lstrip(".") or "the top level"
+        raise ConfigurationError(
+            f"cannot write {exc.value!r} at {where} as JSON: not a finite number"
+        ) from None
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` rendered at the indent that ``newline`` ends with."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise _NonFinite(value)
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        comma = "," + inner
+        for position, item in enumerate(value):
+            out.append(separator)
+            separator = comma
+            try:
+                _render(item, inner, out)
+            except _NonFinite as exc:
+                exc.path.append(f"[{position}]")
+                raise
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        leaf = inner + "  "
+        separator = "{" + inner
+        comma = "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            # a histogram leaf, {"count": int, "probability": finite float}
+            if type(item) is dict and len(item) == 2:
+                count = item.get("count")
+                probability = item.get("probability")
+                if (
+                    type(count) is int
+                    and type(probability) is float
+                    and math.isfinite(probability)
+                ):
+                    out.append(
+                        f'{separator}{_encode_str(key)}: {{{leaf}"count": {count!r},'
+                        f'{leaf}"probability": {probability!r}{inner}}}'
+                    )
+                    separator = comma
+                    continue
+            out.append(f"{separator}{_encode_str(key)}: ")
+            separator = comma
+            try:
+                _render(item, inner, out)
+            except _NonFinite as exc:
+                exc.path.append(f".{key}")
+                raise
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cell(value) -> str:
@@ -122,10 +229,13 @@ def render_run_text(artifact: dict, wall_time: float) -> str:
             f"code_width={relabeling['code_width']} mapping={relabeling['mapping']}"
         )
     lines.append("histogram (top 10 by probability):")
-    ranked = sorted(
-        artifact["histogram"].items(), key=lambda kv: (-kv[1]["probability"], kv[0])
+    # imported here: only text output needs it, and the module load stays lean
+    import heapq
+
+    ranked = heapq.nsmallest(
+        10, artifact["histogram"].items(), key=lambda kv: (-kv[1]["probability"], kv[0])
     )
-    for label, entry in ranked[:10]:
+    for label, entry in ranked:
         lines.append(
             f"  {label}  count={entry['count']:<6d} probability={entry['probability']:.9f}"
         )

@@ -17,8 +17,11 @@ these dicts; the text renderer may add it, machine output never carries it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .config import ExperimentConfig
 from .costs import (
@@ -43,12 +46,13 @@ from .permutation import (
     compacted_search_state,
 )
 from .statevector import (
+    SUPPORT_FLOOR,
     KernelCrossCheck,
     QubitSet,
     Statevector,
     basis_state,
     partition_purity,
-    probability_map,
+    probabilities,
     qubit_range,
     sample,
 )
@@ -74,19 +78,26 @@ CROSSCHECK_TOLERANCE = 1e-10
 _BUDGETED = ("iterative", "disentangled", "permutation-basis-prep", "permutation-grover-prep")
 
 
-def merge_counts(sv: Statevector, counts: dict[str, int]) -> dict[str, dict]:
+def merge_counts(sv: Statevector, counts: np.ndarray) -> dict[str, dict]:
     """Join sampled counts with exact probabilities over the union support.
 
-    Counts sum to the shot count; probabilities sum to 1 up to the support
-    floor of the probability map.
+    ``counts`` is the ``sample`` array, indexed by basis index. The support
+    is every index sampled at least once or with probability above
+    ``SUPPORT_FLOOR``; a sampled index at or below the floor reads 0.0.
+    Entries run in ascending index order, which is label order. Counts sum
+    to the shot count; probabilities sum to 1 up to the floor.
     """
-    exact = probability_map(sv)
+    p = probabilities(sv)
+    kept = p > SUPPORT_FLOOR
+    support = np.flatnonzero((counts > 0) | kept)
+    width = f"0{sv.num_qubits}b"
     return {
-        label: {
-            "count": int(counts.get(label, 0)),
-            "probability": float(exact.get(label, 0.0)),
-        }
-        for label in sorted(set(counts) | set(exact))
+        format(i, width): {"count": c, "probability": x}
+        for i, c, x in zip(
+            support.tolist(),
+            counts[support].tolist(),
+            np.where(kept[support], p[support], 0.0).tolist(),
+        )
     }
 
 
@@ -450,7 +461,11 @@ def run_sweep(
 
 
 def cost_table(ms, vs, strategies) -> list[dict]:
-    """One row per (m, v, strategy) with totals and validity annotations."""
+    """One row per (m, v, strategy) with totals and validity annotations.
+
+    An (m, v) at which any cost term overflows a float or is not finite
+    raises ConfigurationError naming ``--m-range``, that m and the v.
+    """
     ms, vs = list(ms), list(vs)
     strategies = list(strategies)
     if not ms or not vs or not strategies:
@@ -462,28 +477,42 @@ def cost_table(ms, vs, strategies) -> list[dict]:
     for m in ms:
         for v in vs:
             for strategy in strategies:
-                g = m // 2
-                breakdown = cost_breakdown(strategy, m, g=g, v=v)
-                row: dict = {
-                    "strategy": strategy,
-                    "m": int(m),
-                    "g": int(g),
-                    "v": int(v),
-                    "total": float(breakdown.total),
-                }
-                if strategy in _BUDGETED:
-                    validity = candidate_budget_validity(m, v)
-                    row["valid"] = bool(validity.holds)
-                    row["margin"] = float(validity.margin)
-                elif strategy == "decomposition-ideal":
-                    margin = baseline_cost(m) - breakdown.total
-                    row["valid"] = bool(margin > 0)
-                    row["margin"] = float(margin)
-                else:
-                    row["valid"] = True
-                    row["margin"] = None
-                row["times_ratio"] = (
-                    float(times_ratio(m, v)) if strategy == "disentangled" else None
-                )
+                try:
+                    row = _cost_row(strategy, m, v)
+                    finite = all(
+                        math.isfinite(x) for x in row.values() if isinstance(x, float)
+                    )
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise ConfigurationError(
+                        f"--m-range: m={m} (with --v-range v={v}) makes the {strategy} "
+                        "cost overflow a float"
+                    )
                 rows.append(row)
     return rows
+
+
+def _cost_row(strategy: str, m: int, v: int) -> dict:
+    g = m // 2
+    breakdown = cost_breakdown(strategy, m, g=g, v=v)
+    row: dict = {
+        "strategy": strategy,
+        "m": int(m),
+        "g": int(g),
+        "v": int(v),
+        "total": float(breakdown.total),
+    }
+    if strategy in _BUDGETED:
+        validity = candidate_budget_validity(m, v)
+        row["valid"] = bool(validity.holds)
+        row["margin"] = float(validity.margin)
+    elif strategy == "decomposition-ideal":
+        margin = baseline_cost(m) - breakdown.total
+        row["valid"] = bool(margin > 0)
+        row["margin"] = float(margin)
+    else:
+        row["valid"] = True
+        row["margin"] = None
+    row["times_ratio"] = float(times_ratio(m, v)) if strategy == "disentangled" else None
+    return row

@@ -4,13 +4,17 @@ Basis indexing is little-endian: qubit q is bit q of the basis index, and
 textual labels therefore print qubit m-1 first. An oracle reaches a kernel
 as a boolean mask over the sub-patterns of the qubits it reads. Operations
 are functional, returning a fresh Statevector and leaving inputs untouched.
+Read-outs stay arrays indexed by basis index: ``sample`` returns one count
+per index and ``top_outcome`` reads that array, so a label is formatted
+only where a report needs it.
 
 Every kernel and read-out addresses a sub-register one way: the amplitudes
 viewed as a (2**k, rest) matrix whose row p is sub-pattern p. Every kernel
 also has an O(dim) reference, used by the cross-check context, that
 computes the same output from basis-index bit arithmetic instead: a sign
-per index, a destination per index, or a sum per diffusion block. The two
-routes share no index code, so a fault in either shows as a deviation.
+per index, a destination per index, or a sum per diffusion block, moving
+each run of consecutive qubits as one bit field. The two routes share no
+index code, so a fault in either shows as a deviation.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .errors import ConfigurationError, ValidationError
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-9
+# probabilities at or below this are left out of a label-keyed read-out
+SUPPORT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,7 @@ def probabilities(sv: Statevector) -> np.ndarray:
     return np.abs(sv.amplitudes) ** 2
 
 
-def probability_map(sv: Statevector, floor: float = 1e-12) -> dict[str, float]:
+def probability_map(sv: Statevector, floor: float = SUPPORT_FLOOR) -> dict[str, float]:
     """Probabilities keyed by textual label, entries below ``floor`` dropped."""
     p = probabilities(sv)
     keep = np.flatnonzero(p > floor)
@@ -301,26 +307,31 @@ def probability_map(sv: Statevector, floor: float = 1e-12) -> dict[str, float]:
     return {format(i, width): x for i, x in zip(keep.tolist(), p[keep].tolist())}
 
 
-def sample(sv: Statevector, shots: int, seed) -> dict[str, int]:
-    """Multinomial measurement histogram, keyed by textual label.
+def sample(sv: Statevector, shots: int, seed) -> np.ndarray:
+    """Multinomial measurement counts, indexed by basis index.
 
-    A pure function of (state, shots, seed): repeated calls agree bit for bit.
+    Returns an int array of length ``sv.dim`` summing to ``shots``. A pure
+    function of (state, shots, seed): repeated calls agree bit for bit.
     """
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
     p = probabilities(sv)
-    p = p / p.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, p)
-    keep = np.flatnonzero(counts)
-    width = f"0{sv.num_qubits}b"
-    return {format(i, width): c for i, c in zip(keep.tolist(), counts[keep].tolist())}
+    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
-def top_outcome(histogram: dict[str, int]) -> str:
-    """Most frequent label; ties break toward the lexicographically smallest."""
-    if not histogram:
-        raise ConfigurationError("empty histogram")
-    return min(histogram, key=lambda label: (-histogram[label], label))
+def top_outcome(counts: np.ndarray) -> str:
+    """Label of the most frequent basis index in a ``sample`` count array.
+
+    Ties break toward the smallest index, which is the lexicographically
+    smallest label, since labels have a fixed width.
+    """
+    counts = np.asarray(counts)
+    num_qubits = counts.size.bit_length() - 1
+    if counts.ndim != 1 or num_qubits < 1 or counts.size != 2**num_qubits:
+        raise ConfigurationError(
+            f"counts must be one entry per basis index, got shape {counts.shape}"
+        )
+    return format(int(np.argmax(counts)), f"0{num_qubits}b")
 
 
 def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
@@ -357,11 +368,24 @@ def marginal_probability(
 # the kernel must produce, in O(dim) time and memory. The names keep their
 # old `_matrix` suffix because bench/tracing.py wraps them by name.
 
+def _bit_runs(on: QubitSet) -> list[tuple[int, int, int]]:
+    """(first qubit, first sub-pattern bit, length) of each run of
+    consecutive qubits in ``on``; a run moves as one bit field."""
+    runs: list[tuple[int, int, int]] = []
+    for j, q in enumerate(on.indices):
+        if runs and runs[-1][0] + runs[-1][2] == q:
+            q0, j0, length = runs[-1]
+            runs[-1] = (q0, j0, length + 1)
+        else:
+            runs.append((q, j, 1))
+    return runs
+
+
 def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
     """Bits of each basis index at the given positions, packed little-endian."""
     sub = np.zeros_like(indices)
-    for j, q in enumerate(on.indices):
-        sub |= ((indices >> q) & 1) << j
+    for q0, j0, length in _bit_runs(on):
+        sub |= ((indices >> q0) & ((1 << length) - 1)) << j0
     return sub
 
 
@@ -424,6 +448,6 @@ def dense_index_map_matrix(
     sub = _subpattern(idx, on)
     delta = sub ^ arr[sub]
     dest = idx.copy()
-    for j, q in enumerate(on.indices):
-        dest ^= ((delta >> j) & 1) << q
+    for q0, j0, length in _bit_runs(on):
+        dest ^= ((delta >> j0) & ((1 << length) - 1)) << q0
     return _moved(sv, dest)

@@ -136,10 +136,13 @@ class SearchResult:
 
 
 class Measurement(NamedTuple):
-    """One measured state: its sampled counts, the checked string, the verdict."""
+    """One measured state: its sampled counts, the checked string, the verdict.
+
+    ``counts`` is the ``sample`` array, one count per basis index.
+    """
 
     state: Statevector
-    counts: dict[str, int]
+    counts: np.ndarray
     top: str
     result: SearchResult
 

@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtreesearch.cli as climod
 import qtreesearch.runner as runmod
 import qtreesearch.statevector as svmod
-from qtreesearch.cli import main
+from qtreesearch.cli import main, render_json, render_run_text
+from qtreesearch.errors import ConfigurationError
 from qtreesearch.runner import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNVERIFIED
 
 
@@ -141,6 +147,32 @@ class TestRun:
         cuts = {tuple(entry["qubits"]) for entry in artifact["purity"]}
         assert cuts == {(0, 1, 2), (3, 4)}
 
+    def test_text_top_ten_equals_a_full_sort_with_ties(self, capsys):
+        run_cli("run", "--config", "fig_a_basic_0", "--format", "json")
+        artifact = json.loads(capsys.readouterr().out)
+        # 6 labels tie at the top and 20 tie below them, so 4 of those 20
+        # make the cut by label; dict order is shuffled, not label order
+        levels = [0.05] * 6 + [0.025] * 20 + [0.0] * 6
+        rng = random.Random(3)
+        rng.shuffle(levels)
+        labels = [format(i, "05b") for i in range(32)]
+        rng.shuffle(labels)
+        artifact["histogram"] = {
+            label: {"count": rng.randrange(100), "probability": p}
+            for label, p in zip(labels, levels)
+        }
+        lines = render_run_text(artifact, 0.0).splitlines()
+        start = lines.index("histogram (top 10 by probability):") + 1
+        ranked = sorted(
+            artifact["histogram"].items(), key=lambda kv: (-kv[1]["probability"], kv[0])
+        )
+        expected = [
+            f"  {label}  count={e['count']:<6d} probability={e['probability']:.9f}"
+            for label, e in ranked[:10]
+        ]
+        assert lines[start : start + 10] == expected
+        assert lines[start + 10].startswith("purity ")
+
     def test_oversized_purity_cut_rejected(self, tmp_path):
         config = write_config(
             tmp_path, FIVE_QUBIT.format(strategy="product") + "purity_cuts: [[7]]\n"
@@ -205,6 +237,26 @@ class TestCost:
     def test_bad_range_exits_one(self, capsys):
         assert run_cli("cost", "--m-range", "4:x") == EXIT_CONFIG_ERROR
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "m, strategies", [("1024", "all"), ("1024", "baseline"), ("4092", "iterative")]
+    )
+    def test_overflowing_register_exits_one(self, m, strategies, capsys):
+        # 2**1024 overflows a float in the baseline term; at m = 4092 the
+        # iterative total is infinite, which JSON cannot carry
+        code = run_cli(
+            "cost", "--m-range", m, "--v-range", "1", "--strategies", strategies,
+            "--format", "json",
+        )
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert f"--m-range: m={m} (with --v-range v=1) makes the" in captured.err
+        assert captured.out == ""
+
+    def test_widest_finite_register_still_tabulates(self, capsys):
+        assert run_cli("cost", "--m-range", "1020", "--format", "json") == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {row["m"] for row in rows} == {1020}
 
 
 class TestVerify:
@@ -346,3 +398,75 @@ class TestSweep:
     def test_bad_split_exits_one(self, capsys):
         assert run_cli("sweep", "--m", "3", "--g", "3") == EXIT_CONFIG_ERROR
         assert "1 <= g < m" in capsys.readouterr().err
+
+
+# quote, backslash, control characters, U+2028, non-ASCII in and beyond the BMP
+_SPECIAL_CHARS = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n", "\t", "\u2028", "\u00e9", "\U0001f600"]
+)
+_TEXT = st.text(st.one_of(_SPECIAL_CHARS, st.characters()), max_size=8)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1]),
+)
+_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(-5, 5))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+_PAYLOADS = st.recursive(
+    st.one_of(
+        _SCALARS,
+        # histogram leaves take the renderer's fast path; look-alikes with
+        # other value types (a bool count, an int probability) must not
+        st.fixed_dictionaries({"count": _INTS, "probability": _FLOATS}),
+        st.fixed_dictionaries({"count": _SCALARS, "probability": _SCALARS}),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    @given(_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_names_its_key_path(self, bad):
+        payload = {"trials": [{"histogram": {"01": {"count": 1, "probability": bad}}}]}
+        path = r"at trials\[0\]\.histogram\.01\.probability "
+        with pytest.raises(ConfigurationError, match=path):
+            render_json(payload)
+        with pytest.raises(ConfigurationError, match=r"at cost\.total "):
+            render_json({"cost": {"total": bad, "m": 4}})
+        with pytest.raises(ConfigurationError, match="at the top level"):
+            render_json(bad)
+
+    def test_non_finite_artifact_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            climod, "run_experiment", lambda config: ({"purity": [float("nan")]}, EXIT_OK)
+        )
+        code = run_cli("run", "--config", "fig_a_basic_0", "--format", "json")
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert "at purity[0] as JSON" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {1: "a"},
+            {"a": {None: 1}},
+            {"a": {1, 2}},
+            [np.float32(1.0)],
+            {"a": np.int64(3)},
+            b"x",
+        ],
+        ids=["int-key", "none-key", "set", "float32", "int64", "bytes"],
+    )
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            render_json(payload)

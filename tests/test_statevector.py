@@ -283,12 +283,15 @@ class TestMeasurement:
         sv = init_uniform(3)
         a = sample(sv, shots=500, seed=11)
         b = sample(sv, shots=500, seed=11)
-        assert a == b
-        assert sum(a.values()) == 500
+        assert np.array_equal(a, b)
+        assert a.shape == (8,)
+        assert int(a.sum()) == 500
 
     def test_sample_only_support(self):
         sv = basis_state(3, 0b101)
-        assert sample(sv, shots=64, seed=0) == {"101": 64}
+        counts = sample(sv, shots=64, seed=0)
+        assert counts.tolist() == [0, 0, 0, 0, 0, 64, 0, 0]
+        assert top_outcome(counts) == "101"
 
     def test_labels_match_the_per_index_reference(self):
         # same entries, in the same (ascending index) order, as one loop over
@@ -298,11 +301,17 @@ class TestMeasurement:
         expected = [(format(i, "05b"), float(p[i])) for i in range(32) if p[i] > 1e-12]
         assert list(probability_map(sv).items()) == expected
         counts = np.random.default_rng(2).multinomial(100, p / p.sum())
-        expected = [(format(i, "05b"), int(c)) for i, c in enumerate(counts) if c]
-        assert list(sample(sv, 100, seed=2).items()) == expected
+        assert sample(sv, 100, seed=2).tolist() == counts.tolist()
 
     def test_top_outcome_tie_breaks_lexicographically(self):
-        assert top_outcome({"10": 5, "01": 5, "00": 3}) == "01"
+        # index 1 ("01") and index 2 ("10") tie; the smaller label wins
+        assert top_outcome(np.array([3, 5, 5, 0])) == "01"
+        assert top_outcome(np.array([0, 0, 7, 7, 1, 0, 0, 7])) == "010"
+
+    def test_top_outcome_rejects_a_non_register_count_array(self):
+        for bad in (np.array([], dtype=int), np.array([4]), np.array([1, 2, 3])):
+            with pytest.raises(ConfigurationError):
+                top_outcome(bad)
 
     def test_marginal_probability(self):
         bell = Statevector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))

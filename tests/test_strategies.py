@@ -184,8 +184,8 @@ class TestIterativeSearch:
     def test_matching_trial_histogram_dominated_by_the_solution(self):
         problem = five_qubit_problem()
         sv = iterative_trial_state(problem, 2)
-        histogram = sample(sv, shots=256, seed=11)
-        assert histogram["10101"] / 256 >= 0.9
+        counts = sample(sv, shots=256, seed=11)
+        assert counts[0b10101] / 256 >= 0.9
 
     def test_exhaustion_returns_unverified(self):
         problem = five_qubit_problem(candidate_strings=("011", "110"))
