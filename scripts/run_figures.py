@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qtreesearch.cli import render_json, write_output
 from qtreesearch.config import bundled_configs, load_config
 from qtreesearch.runner import run_experiment
@@ -35,10 +37,13 @@ def main() -> int:
         worst = max(worst, exit_code)
         summary = artifact.get("result")
         if summary is None:
-            top = max(
-                artifact["histogram"].items(), key=lambda kv: kv[1]["probability"]
+            histogram = artifact["histogram"]
+            # argmax takes the first maximum, the smallest label among ties
+            top = int(np.argmax(histogram.probabilities))
+            line = (
+                f"prepared, top outcome {histogram.labels()[top]} "
+                f"at {histogram.probabilities[top]:.4f}"
             )
-            line = f"prepared, top outcome {top[0]} at {top[1]['probability']:.4f}"
         else:
             line = (
                 f"verified={summary['verified']} found={summary['found']} "

@@ -4,8 +4,11 @@ Machine-readable output (json, csv) is a pure function of config and seed;
 wall-clock timing appears only in the text renderer. JSON output is byte
 for byte what ``json.dumps(payload, indent=2, sort_keys=True)`` writes, from
 a renderer of its own (``render_json``) that refuses NaN and infinity.
-Files are written by temp-file-and-rename so readers never observe a
-partial artifact.
+A run's histogram reaches every renderer as the ``Histogram`` arrays that
+``runner.merge_counts`` returns: json renders each distinct leaf once,
+csv zips the arrays, and text ranks them with ``np.lexsort``. Files are
+written by temp-file-and-rename so readers never observe a partial
+artifact.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     OUTPUT_FORMATS,
     ExperimentConfig,
@@ -33,6 +38,7 @@ from .costs import STRATEGIES
 from .errors import ConfigurationError
 from .runner import (
     EXIT_CONFIG_ERROR,
+    Histogram,
     cost_table,
     run_experiment,
     run_sweep,
@@ -69,10 +75,10 @@ def render_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
     The same bytes, from a renderer that handles only what an artifact
-    holds: dicts with str keys, lists, tuples, str, bool, None, int and
-    float. With ``indent`` set, ``json.dumps`` always runs its pure-Python
-    encoder; this one does less per value and writes a histogram leaf
-    ``{"count": int, "probability": float}`` in one f-string. A NaN or
+    holds: dicts with str keys, lists, tuples, str, bool, None, int, float
+    and ``Histogram``. A histogram is written as the dict
+    ``{label: {"count": c, "probability": p}}`` over its support would be,
+    without that dict being built (see ``_render_histogram``). A NaN or
     infinite float raises ConfigurationError naming its key path, where
     ``json.dumps`` would write ``NaN``, which is not JSON. Any other type,
     or a non-str key, raises TypeError.
@@ -126,38 +132,76 @@ def _render(value, newline: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = newline + "  "
-        leaf = inner + "  "
         separator = "{" + inner
         comma = "," + inner
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            item = value[key]
-            # a histogram leaf, {"count": int, "probability": finite float}
-            if type(item) is dict and len(item) == 2:
-                count = item.get("count")
-                probability = item.get("probability")
-                if (
-                    type(count) is int
-                    and type(probability) is float
-                    and math.isfinite(probability)
-                ):
-                    out.append(
-                        f'{separator}{_encode_str(key)}: {{{leaf}"count": {count!r},'
-                        f'{leaf}"probability": {probability!r}{inner}}}'
-                    )
-                    separator = comma
-                    continue
             out.append(f"{separator}{_encode_str(key)}: ")
             separator = comma
             try:
-                _render(item, inner, out)
+                _render(value[key], inner, out)
             except _NonFinite as exc:
                 exc.path.append(f".{key}")
                 raise
         out.append(newline + "}")
+    elif isinstance(value, Histogram):
+        _render_histogram(value, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_histogram(histogram: Histogram, newline: str, out: list[str]) -> None:
+    """Append a histogram as its label-keyed object of count-probability leaves.
+
+    Amplification from a uniform start keeps every unmarked pattern on one
+    amplitude and leaves most counts at 0, so a histogram over 2**16
+    labels holds a handful of distinct (count, probability) pairs. Each
+    pair's leaf body is rendered once, the probability keyed by its bit
+    pattern so that 0.0 and -0.0 stay apart. The labels are written as
+    ASCII into one byte array, a bit column at a time, with the quote and
+    the text up to the count around them, and the whole object is one
+    ``bytes.join`` of those heads and the shared bodies.
+    """
+    probs = histogram.probabilities
+    finite = np.isfinite(probs)
+    if not finite.all():
+        position = int(np.argmin(finite))
+        exc = _NonFinite(float(probs[position]))
+        exc.path += [".probability", "." + histogram.labels()[position]]
+        raise exc
+    support = histogram.support
+    if not support.size:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    leaf = inner + "  "
+    comma = "," + inner
+    # every label's line up to its count: '"0101": {' then '"count": '
+    head = f'": {{{leaf}"count": '.encode()
+    width = histogram.num_qubits
+    heads = np.empty((support.size, 1 + width + len(head)), dtype=np.uint8)
+    heads[:, 0] = ord('"')
+    for column, shift in enumerate(range(width - 1, -1, -1), start=1):
+        heads[:, column] = ord("0") + ((support >> shift) & 1)
+    heads[:, 1 + width :] = np.frombuffer(head, dtype=np.uint8)
+    # the rest of the leaf, once per distinct (count, probability) pair
+    p_bits, p_index = np.unique(probs.view(np.int64), return_inverse=True)
+    c_values, c_index = np.unique(histogram.counts, return_inverse=True)
+    pairs, pair_index = np.unique(p_index * c_values.size + c_index, return_inverse=True)
+    p_of, c_of = np.divmod(pairs, c_values.size)
+    bodies = np.array(
+        [
+            f'{c!r},{leaf}"probability": {p!r}{inner}}}{comma}'.encode()
+            for c, p in zip(c_values[c_of].tolist(), p_bits[p_of].view(np.float64).tolist())
+        ],
+        dtype=object,
+    )
+    parts = [b""] * (2 * support.size)
+    parts[0::2] = heads.view(f"S{heads.shape[1]}").ravel().tolist()
+    parts[1::2] = bodies[pair_index].tolist()
+    parts[-1] = parts[-1][: -len(comma)]
+    out += ("{" + inner, b"".join(parts).decode("ascii"), newline + "}")
 
 
 def _cell(value) -> str:
@@ -171,23 +215,25 @@ def _cell(value) -> str:
 
 
 def _csv_text(columns, rows) -> str:
+    """Header plus one line per row; a row lists its values in column order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(column)) for column in columns])
+    writer.writerows([_cell(value) for value in row] for row in rows)
     return buffer.getvalue()
 
 
-def _histogram_rows(histogram: dict) -> list[dict]:
-    return [
-        {"label": label, "count": entry["count"], "probability": entry["probability"]}
-        for label, entry in sorted(histogram.items())
-    ]
+def _in_columns(columns, records):
+    """Each record's values in column order, None for a missing key."""
+    return ([record.get(column) for column in columns] for record in records)
 
 
 def render_run_csv(artifact: dict) -> str:
-    return _csv_text(HISTOGRAM_COLUMNS, _histogram_rows(artifact["histogram"]))
+    histogram = artifact["histogram"]
+    rows = zip(
+        histogram.labels(), histogram.counts.tolist(), histogram.probabilities.tolist()
+    )
+    return _csv_text(HISTOGRAM_COLUMNS, rows)
 
 
 def render_run_text(artifact: dict, wall_time: float) -> str:
@@ -229,16 +275,16 @@ def render_run_text(artifact: dict, wall_time: float) -> str:
             f"code_width={relabeling['code_width']} mapping={relabeling['mapping']}"
         )
     lines.append("histogram (top 10 by probability):")
-    # imported here: only text output needs it, and the module load stays lean
-    import heapq
-
-    ranked = heapq.nsmallest(
-        10, artifact["histogram"].items(), key=lambda kv: (-kv[1]["probability"], kv[0])
-    )
-    for label, entry in ranked:
-        lines.append(
-            f"  {label}  count={entry['count']:<6d} probability={entry['probability']:.9f}"
-        )
+    histogram = artifact["histogram"]
+    # highest probability first, ties by index, which is label order
+    top = np.lexsort((histogram.support, -histogram.probabilities))[:10]
+    width = f"0{histogram.num_qubits}b"
+    for index, count, probability in zip(
+        histogram.support[top].tolist(),
+        histogram.counts[top].tolist(),
+        histogram.probabilities[top].tolist(),
+    ):
+        lines.append(f"  {index:{width}}  count={count:<6d} probability={probability:.9f}")
     for cut in artifact["purity"]:
         lines.append(f"purity qubits={cut['qubits']}: {cut['purity']:.9f}")
     queries = artifact["queries"]
@@ -290,17 +336,9 @@ def render_verify_text(report: dict, wall_time: float) -> str:
 
 
 def render_verify_csv(report: dict) -> str:
-    rows = [
-        {"operation": label, "max_deviation": value}
-        for label, value in report["kernel_checks"]["by_operation"].items()
-    ]
+    rows = list(report["kernel_checks"]["by_operation"].items())
     if "cnot_check" in report:
-        rows.append(
-            {
-                "operation": "cnot_realization",
-                "max_deviation": report["cnot_check"]["max_deviation"],
-            }
-        )
+        rows.append(("cnot_realization", report["cnot_check"]["max_deviation"]))
     return _csv_text(("operation", "max_deviation"), rows)
 
 
@@ -396,7 +434,7 @@ def _cmd_cost(args) -> int:
     if args.format == "json":
         text = render_json({"columns": list(COST_COLUMNS), "rows": rows})
     elif args.format == "csv":
-        text = _csv_text(COST_COLUMNS, rows)
+        text = _csv_text(COST_COLUMNS, _in_columns(COST_COLUMNS, rows))
     else:
         text = render_cost_text(rows)
     write_output(text, args.out)
@@ -429,7 +467,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         text = render_json(report)
     elif args.format == "csv":
-        text = _csv_text(SWEEP_COLUMNS, report["rows"])
+        text = _csv_text(SWEEP_COLUMNS, _in_columns(SWEEP_COLUMNS, report["rows"]))
     else:
         text = render_sweep_text(report, wall_time)
     write_output(text, args.out)

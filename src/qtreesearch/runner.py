@@ -11,8 +11,11 @@ trials, blocks, relabeling) and the key of its cost model.
 and never builds the sections.
 
 Reports are plain dicts of builtin types so they serialize byte-identically
-for a fixed config and seed. Wall-clock timing is deliberately kept out of
-these dicts; the text renderer may add it, machine output never carries it.
+for a fixed config and seed. The one exception is a histogram, which
+``merge_counts`` returns as a ``Histogram`` of aligned arrays and which
+stays arrays until a renderer writes it. Wall-clock timing is deliberately
+kept out of these dicts; the text renderer may add it, machine output
+never carries it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .costs import (
     cost_breakdown,
     times_ratio,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, iteration_count
 from .oracles import (
     ConcatenatedOracle,
@@ -78,27 +81,63 @@ CROSSCHECK_TOLERANCE = 1e-10
 _BUDGETED = ("iterative", "disentangled", "permutation-basis-prep", "permutation-grover-prep")
 
 
-def merge_counts(sv: Statevector, counts: np.ndarray) -> dict[str, dict]:
+@dataclass(frozen=True, eq=False)
+class Histogram:
+    """Sampled counts and exact probabilities over a histogram's support.
+
+    ``support`` holds basis indices in ascending order, which is label
+    order; ``counts`` and ``probabilities`` are aligned with it. An
+    artifact keeps the arrays, and ``cli.render_json`` writes them as the
+    object ``{label: {"count": c, "probability": p}}``.
+    """
+
+    num_qubits: int
+    support: np.ndarray
+    counts: np.ndarray
+    probabilities: np.ndarray
+
+    def __post_init__(self) -> None:
+        support = np.asarray(self.support, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        probs = np.asarray(self.probabilities, dtype=np.float64)
+        if support.ndim != 1 or counts.shape != support.shape or probs.shape != support.shape:
+            raise ValidationError(
+                f"support, counts and probabilities must be aligned 1-D arrays, got shapes "
+                f"{support.shape}, {counts.shape} and {probs.shape}"
+            )
+        if support.size and (
+            support[0] < 0
+            or support[-1] >= 2**self.num_qubits
+            or np.any(support[1:] <= support[:-1])
+        ):
+            raise ValidationError(
+                f"support must be strictly ascending indices of a {self.num_qubits}-qubit register"
+            )
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "probabilities", probs)
+
+    def labels(self) -> list[str]:
+        """Label of every support index, in support order."""
+        width = f"0{self.num_qubits}b"
+        return [format(i, width) for i in self.support.tolist()]
+
+
+def merge_counts(sv: Statevector, counts: np.ndarray) -> Histogram:
     """Join sampled counts with exact probabilities over the union support.
 
     ``counts`` is the ``sample`` array, indexed by basis index. The support
     is every index sampled at least once or with probability above
     ``SUPPORT_FLOOR``; a sampled index at or below the floor reads 0.0.
-    Entries run in ascending index order, which is label order. Counts sum
-    to the shot count; probabilities sum to 1 up to the floor.
+    Counts sum to the shot count; probabilities sum to 1 up to the floor.
+    No label is formatted here: the renderers do that.
     """
     p = probabilities(sv)
     kept = p > SUPPORT_FLOOR
     support = np.flatnonzero((counts > 0) | kept)
-    width = f"0{sv.num_qubits}b"
-    return {
-        format(i, width): {"count": c, "probability": x}
-        for i, c, x in zip(
-            support.tolist(),
-            counts[support].tolist(),
-            np.where(kept[support], p[support], 0.0).tolist(),
-        )
-    }
+    return Histogram(
+        sv.num_qubits, support, counts[support], np.where(kept[support], p[support], 0.0)
+    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import qtreesearch.runner as runmod
 import qtreesearch.statevector as svmod
 from qtreesearch.cli import main, render_json, render_run_text
 from qtreesearch.errors import ConfigurationError
-from qtreesearch.runner import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNVERIFIED
+from qtreesearch.runner import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNVERIFIED, Histogram
 
 
 def run_cli(*argv) -> int:
@@ -151,24 +151,21 @@ class TestRun:
         run_cli("run", "--config", "fig_a_basic_0", "--format", "json")
         artifact = json.loads(capsys.readouterr().out)
         # 6 labels tie at the top and 20 tie below them, so 4 of those 20
-        # make the cut by label; dict order is shuffled, not label order
+        # make the cut by label; the levels are shuffled over a sparse
+        # support, so index order is not probability order
         levels = [0.05] * 6 + [0.025] * 20 + [0.0] * 6
         rng = random.Random(3)
         rng.shuffle(levels)
-        labels = [format(i, "05b") for i in range(32)]
-        rng.shuffle(labels)
-        artifact["histogram"] = {
-            label: {"count": rng.randrange(100), "probability": p}
-            for label, p in zip(labels, levels)
-        }
+        support = sorted(rng.sample(range(64), 32))
+        counts = [rng.randrange(100) for _ in support]
+        artifact["histogram"] = Histogram(6, support, counts, levels)
         lines = render_run_text(artifact, 0.0).splitlines()
         start = lines.index("histogram (top 10 by probability):") + 1
-        ranked = sorted(
-            artifact["histogram"].items(), key=lambda kv: (-kv[1]["probability"], kv[0])
-        )
+        labels = [format(i, "06b") for i in support]
+        ranked = sorted(zip(labels, counts, levels), key=lambda row: (-row[2], row[0]))
         expected = [
-            f"  {label}  count={e['count']:<6d} probability={e['probability']:.9f}"
-            for label, e in ranked[:10]
+            f"  {label}  count={count:<6d} probability={p:.9f}"
+            for label, count, p in ranked[:10]
         ]
         assert lines[start : start + 10] == expected
         assert lines[start + 10].startswith("purity ")
@@ -414,8 +411,8 @@ _SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
 _PAYLOADS = st.recursive(
     st.one_of(
         _SCALARS,
-        # histogram leaves take the renderer's fast path; look-alikes with
-        # other value types (a bool count, an int probability) must not
+        # dict leaves shaped like a histogram's, and look-alikes with other
+        # value types (a bool count, an int probability)
         st.fixed_dictionaries({"count": _INTS, "probability": _FLOATS}),
         st.fixed_dictionaries({"count": _SCALARS, "probability": _SCALARS}),
     ),
@@ -428,11 +425,86 @@ _PAYLOADS = st.recursive(
 )
 
 
+# a small pool repeats values across labels, as amplification does; -0.0
+# must not share a leaf with 0.0
+_PROBABILITY_POOL = (0.0, -0.0, 5e-324, 1e-12, 1 / 3, 0.5, 1.0)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _histograms(draw):
+    width = draw(st.integers(1, 10))
+    support = sorted(
+        draw(
+            st.one_of(
+                st.sets(st.integers(0, 2**width - 1), max_size=48),
+                st.just(range(min(2**width, 64))),
+            )
+        )
+    )
+    size = len(support)
+    counts = draw(
+        st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 2**62)), min_size=size, max_size=size
+        )
+    )
+    probabilities = draw(
+        st.one_of(
+            st.lists(st.sampled_from(_PROBABILITY_POOL), min_size=size, max_size=size),
+            st.lists(_FINITE, min_size=size, max_size=size, unique=True),
+        )
+    )
+    return Histogram(width, support, counts, probabilities)
+
+
+_WITH_HISTOGRAMS = st.one_of(
+    st.recursive(
+        st.one_of(_SCALARS, _histograms()),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3), st.dictionaries(_TEXT, children, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+    # an artifact's shape: the top-level histogram and one per trial
+    st.fixed_dictionaries(
+        {
+            "histogram": _histograms(),
+            "trials": st.lists(
+                st.fixed_dictionaries({"histogram": _histograms(), "accepted": st.booleans()}),
+                max_size=3,
+            ),
+        }
+    ),
+)
+
+
+def _dict_form(value):
+    """``value`` with every Histogram replaced by its label-keyed dict."""
+    if isinstance(value, Histogram):
+        return {
+            format(index, f"0{value.num_qubits}b"): {"count": count, "probability": p}
+            for index, count, p in zip(
+                value.support.tolist(), value.counts.tolist(), value.probabilities.tolist()
+            )
+        }
+    if isinstance(value, list):
+        return [_dict_form(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _dict_form(item) for key, item in value.items()}
+    return value
+
+
 class TestRenderJson:
     @given(_PAYLOADS)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, payload):
         assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @given(_WITH_HISTOGRAMS)
+    @settings(max_examples=300, deadline=None)
+    def test_histograms_match_json_dumps_of_their_dict_form(self, payload):
+        expected = json.dumps(_dict_form(payload), indent=2, sort_keys=True) + "\n"
+        assert render_json(payload) == expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_names_its_key_path(self, bad):
@@ -444,6 +516,15 @@ class TestRenderJson:
             render_json({"cost": {"total": bad, "m": 4}})
         with pytest.raises(ConfigurationError, match="at the top level"):
             render_json(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_histogram_probability_names_its_label(self, bad):
+        # two bad values: the first in label order is the one named, as
+        # json.dumps of the dict form would meet it first
+        histogram = Histogram(2, [0, 1, 3], [1, 2, 3], [0.5, bad, float("nan")])
+        path = r"at trials\[0\]\.histogram\.01\.probability "
+        with pytest.raises(ConfigurationError, match=path):
+            render_json({"trials": [{"histogram": histogram}]})
 
     def test_non_finite_artifact_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -5,6 +5,7 @@ kernels as masks, never as per-pattern queries."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qtreesearch.permutation as permmod
@@ -12,8 +13,16 @@ import qtreesearch.runner as runmod
 import qtreesearch.strategies as stratmod
 from qtreesearch.cli import render_json
 from qtreesearch.config import STRATEGY_CHOICES, config_from_mapping, load_config, resolve_config
+from qtreesearch.errors import ValidationError
 from qtreesearch.oracles import ConcatenatedOracle
-from qtreesearch.runner import STRATEGY_RUNS, run_experiment, run_verification
+from qtreesearch.runner import (
+    STRATEGY_RUNS,
+    Histogram,
+    merge_counts,
+    run_experiment,
+    run_verification,
+)
+from qtreesearch.statevector import basis_state
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,5 +107,26 @@ def test_entangled_run_never_queries_the_oracle_per_pattern(monkeypatch):
     )
     artifact, code = run_experiment(config)
     assert code == 0
-    assert artifact["histogram"]
+    assert artifact["histogram"].support.size
     assert queries == []
+
+
+def test_merge_counts_joins_the_sampled_and_the_exact_support():
+    # index 2 was sampled but has probability 0, so it reads 0.0
+    histogram = merge_counts(basis_state(2, 1), np.array([0, 5, 3, 0]))
+    assert histogram.num_qubits == 2
+    assert histogram.support.tolist() == [1, 2]
+    assert histogram.counts.tolist() == [5, 3]
+    assert histogram.probabilities.tolist() == [1.0, 0.0]
+    assert histogram.labels() == ["01", "10"]
+
+
+@pytest.mark.parametrize(
+    "support, counts",
+    [([1, 0], [1, 1]), ([0, 0], [1, 1]), ([-1, 0], [1, 1]), ([0, 4], [1, 1]), ([0, 1], [1])],
+    ids=["descending", "repeated", "negative", "outside", "misaligned"],
+)
+def test_histogram_support_must_ascend_within_the_register(support, counts):
+    # the renderers write the support in order as label order
+    with pytest.raises(ValidationError):
+        Histogram(2, support, counts, [0.5, 0.5])

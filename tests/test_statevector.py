@@ -68,6 +68,13 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Statevector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_rejects_a_non_finite_norm(self, bad):
+        # a NaN norm compares False against any tolerance, so it is refused
+        # by name rather than by its distance from 1
+        with pytest.raises(ValidationError, match="norm"):
+            Statevector(2, np.array([0.5, bad, 0.5, 0.5]))
+
     def test_rejects_oversized_register(self):
         with pytest.raises(ConfigurationError):
             init_uniform(21)
