@@ -88,7 +88,8 @@ class Histogram:
     ``support`` holds basis indices in ascending order, which is label
     order; ``counts`` and ``probabilities`` are aligned with it. An
     artifact keeps the arrays, and ``cli.render_json`` writes them as the
-    object ``{label: {"count": c, "probability": p}}``.
+    object ``{label: {"count": c, "probability": p}}``. Two histograms are
+    equal when their widths and arrays are, as their dict forms would be.
     """
 
     num_qubits: int
@@ -116,6 +117,18 @@ class Histogram:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "probabilities", probs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return (
+            self.num_qubits == other.num_qubits
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.probabilities, other.probabilities)
+        )
+
+    __hash__ = None
 
     def labels(self) -> list[str]:
         """Label of every support index, in support order."""

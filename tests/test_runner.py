@@ -130,3 +130,24 @@ def test_histogram_support_must_ascend_within_the_register(support, counts):
     # the renderers write the support in order as label order
     with pytest.raises(ValidationError):
         Histogram(2, support, counts, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("name", ["fig_a_basic_4", "fig_d_el_v_3_6"])
+def test_artifacts_of_one_config_and_seed_compare_equal(name):
+    # histograms compare by value, so a rerun equals the first run
+    config = load_config(resolve_config(name))
+    first, _ = run_experiment(config)
+    again, _ = run_experiment(config)
+    assert first == again
+
+
+def test_histograms_compare_by_width_and_arrays():
+    histogram = Histogram(2, [1, 2], [5, 3], [1.0, 0.0])
+    assert histogram == Histogram(2, np.array([1, 2]), (5, 3), [1.0, 0.0])
+    assert histogram != Histogram(3, [1, 2], [5, 3], [1.0, 0.0])
+    assert histogram != Histogram(2, [1, 3], [5, 3], [1.0, 0.0])
+    assert histogram != Histogram(2, [1, 2], [5, 4], [1.0, 0.0])
+    assert histogram != Histogram(2, [1, 2], [5, 3], [0.5, 0.5])
+    assert histogram != {"01": {"count": 5, "probability": 1.0}}
+    with pytest.raises(TypeError):
+        hash(histogram)
