@@ -50,10 +50,10 @@ from .permutation import (
 )
 from .statevector import (
     SUPPORT_FLOOR,
+    MAX_QUBITS,
     KernelCrossCheck,
     QubitSet,
     Statevector,
-    basis_state,
     partition_purity,
     probabilities,
     qubit_range,
@@ -388,25 +388,33 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
 
 def _cnot_equivalence(spec: PermutationSpec) -> dict:
-    """Exhaustively compare the controlled-not realization to the mapping."""
+    """Compare the controlled-not realization to the mapping in one pass.
+
+    The gates only permute basis states, so one state shows the whole
+    permutation: flags at 0, and amplitude s + 1 (before normalizing) on
+    data pattern s. The realization must carry each amplitude to its
+    mapped pattern with the flags back at 0. Deviations are in units of
+    that spacing, so a pattern sent anywhere else deviates by at least 1.
+    """
     flags = len(spec.transpositions)
     total = spec.width + flags
-    if total > 12:
+    if total > MAX_QUBITS:
         raise ConfigurationError(
-            f"controlled-not check needs {total} qubits, limit is 12"
+            f"controlled-not check needs {total} qubits, limit is {MAX_QUBITS}"
         )
-    data = qubit_range(0, spec.width)
-    flag_set = qubit_range(spec.width, total)
-    worst = 0.0
-    for source in range(2**spec.width):
-        out = apply_cnot_permutation(basis_state(total, source), spec, data, flag_set)
-        expected = basis_state(total, spec.mapping[source])
-        deviation = float(abs(out.amplitudes - expected.amplitudes).max())
-        worst = max(worst, deviation)
+    weights = np.arange(1, 2**spec.width + 1, dtype=np.float64)
+    scale = math.sqrt(float(np.dot(weights, weights)))
+    amps = np.zeros(2**total, dtype=np.complex128)
+    amps[: 2**spec.width] = weights / scale
+    out = apply_cnot_permutation(
+        Statevector(total, amps), spec, qubit_range(0, spec.width), qubit_range(spec.width, total)
+    )
+    expected = np.zeros_like(amps)
+    expected[list(spec.mapping)] = amps[: 2**spec.width]
     return {
         "basis_states": 2**spec.width,
         "flag_qubits": flags,
-        "max_deviation": worst,
+        "max_deviation": float(np.max(np.abs(out.amplitudes - expected))) * scale,
     }
 
 

@@ -8,17 +8,28 @@ Read-outs stay arrays indexed by basis index: ``sample`` returns one count
 per index and ``top_outcome`` reads that array, so a label is formatted
 only where a report needs it.
 
-Every kernel and read-out addresses a sub-register one way: the amplitudes
-viewed as a (2**k, rest) matrix whose row p is sub-pattern p. Every kernel
-also has an O(dim) reference, used by the cross-check context, that
-computes the same output from basis-index bit arithmetic instead: a sign
-per index, a destination per index, or a sum per diffusion block, moving
-each run of consecutive qubits as one bit field. The two routes share no
-index code, so a fault in either shows as a deviation.
+Every kernel addresses its qubits through one run view: a reshape, without
+a copy, with one axis per run of consecutive qubits of one kind (in
+``on``, the target, or neither). A sub-pattern indexes the ``on`` axes, one
+bit field per run, so a phase flip, bit flip or index map reads and writes
+only the sub-patterns it marks or moves, and a diffusion takes its mean
+over the ``on`` axes. Each kernel writes one new array, either a copy of
+its input or the diffusion's result, and leaves the input untouched. The
+read-outs ``marginal_distribution`` and ``partition_purity`` instead view
+the amplitudes as a transposed (2**k, rest) matrix whose row p is
+sub-pattern p: their sums run in that row order, and the bundled artifacts
+pin the bytes those sums give.
+
+Every kernel also has an O(dim) reference, used by the cross-check
+context, that computes the same output from basis-index bit arithmetic
+instead: a sign per index, a destination per index, or a sum per diffusion
+block, moving each run of consecutive qubits as one bit field. The two
+routes share no index code, so a fault in either shows as a deviation.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import math
 from dataclasses import dataclass
@@ -93,7 +104,7 @@ class Statevector:
             raise ConfigurationError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
@@ -172,30 +183,55 @@ def _maybe_crosscheck(
 
 
 # ---------------------------------------------------------------------------
-# kernels: each reads the amplitudes as a matrix whose rows are the
-# sub-patterns of the qubits it acts on
+# kernels: each reshapes the amplitudes, without a copy, into one axis per
+# run of consecutive qubits of one kind (in ``on``, the target, or neither)
 
-def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:
-    # qubit q is axis m-1-q of the (2,)*m tensor; order[-1] leads, and the
-    # other axes keep their order behind the leading ones
-    lead = [num_qubits - 1 - q for q in reversed(order)]
-    return lead + [a for a in range(num_qubits) if a not in lead]
+def _run_view(
+    num_qubits: int, on: QubitSet, target: int | None = None
+) -> tuple[tuple[int, ...], list[tuple[int, int, int]], int | None]:
+    """Shape of the run view, the ``on`` runs' axes, and the target's axis.
 
-
-def _rows(sv: Statevector, order: Sequence[int]) -> np.ndarray:
-    """The amplitudes as a (2**k, rest) matrix; row p is sub-pattern p.
-
-    Bit j of p is qubit order[j]. The columns run over the other qubits in
-    basis-index order.
+    The shape lists the runs highest qubits first, as a C-order reshape of
+    the flat amplitudes does. Each ``on`` run is given as (axis, shift,
+    width): its axis index is bits shift .. shift+width-1 of a sub-pattern.
+    Built from ``on`` and the target alone, in O(len(on)).
     """
-    tensor = sv.amplitudes.reshape((2,) * sv.num_qubits)
-    return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
+    marks = [(q, j) for j, q in enumerate(on.indices)]
+    if target is not None:
+        bisect.insort(marks, (target, -1))
+    widths: list[int] = []  # qubits per run, lowest run first
+    fields: list[list[int]] = []  # [run, shift, width] per ``on`` run
+    target_run = None
+    free = 0  # lowest qubit not yet in a run
+    for q, j in marks:
+        if q > free:
+            widths.append(q - free)
+        if j < 0:
+            target_run = len(widths)
+            widths.append(1)
+        elif fields and q == free and fields[-1][0] == len(widths) - 1:
+            widths[-1] += 1
+            fields[-1][2] += 1
+        else:
+            fields.append([len(widths), j, 1])
+            widths.append(1)
+        free = q + 1
+    if free < num_qubits:
+        widths.append(num_qubits - free)
+    last = len(widths) - 1
+    shape = tuple(1 << w for w in reversed(widths))
+    axes = [(last - run, shift, width) for run, shift, width in fields]
+    return shape, axes, None if target_run is None else last - target_run
 
 
-def _from_rows(rows: np.ndarray, num_qubits: int, order: Sequence[int]) -> np.ndarray:
-    """Flat amplitudes of a matrix laid out as ``_rows`` lays it out."""
-    axes = np.argsort(_row_axes(num_qubits, order))
-    return rows.reshape((2,) * num_qubits).transpose(axes).reshape(-1)
+def _pattern_index(
+    ndim: int, axes: list[tuple[int, int, int]], patterns: np.ndarray
+) -> list:
+    """Run-view index of the given sub-patterns, every other axis whole."""
+    index: list = [slice(None)] * ndim
+    for axis, shift, width in axes:
+        index[axis] = (patterns >> shift) & ((1 << width) - 1)
+    return index
 
 
 def _checked_mask(marked, on: QubitSet) -> np.ndarray:
@@ -222,8 +258,10 @@ def apply_phase_flip(
     if len(on) == 0:
         raise ConfigurationError("phase flip needs at least one qubit")
     marked = _checked_mask(marked, on)
-    signs = np.where(marked, -1.0, 1.0)[:, None]
-    out = _from_rows(_rows(sv, on.indices) * signs, sv.num_qubits, on.indices)
+    shape, axes, _ = _run_view(sv.num_qubits, on)
+    out = sv.amplitudes.copy()
+    view = out.reshape(shape)
+    view[tuple(_pattern_index(len(shape), axes, np.flatnonzero(marked)))] *= -1.0
     _maybe_crosscheck("phase_flip", out, lambda: dense_phase_flip_matrix(sv, marked, on))
     return Statevector(sv.num_qubits, out)
 
@@ -238,10 +276,10 @@ def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevecto
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("diffusion needs at least one qubit")
-    # on[0] as the top row bit: the mean sums the rows in this order
-    order = on.indices[::-1]
-    rows = _rows(sv, order)
-    out = _from_rows(2.0 * rows.mean(axis=0)[None, :] - rows, sv.num_qubits, order)
+    shape, axes, _ = _run_view(sv.num_qubits, on)
+    view = sv.amplitudes.reshape(shape)
+    mean = view.mean(axis=tuple(axis for axis, _, _ in axes), keepdims=True)
+    out = (2.0 * mean - view).reshape(-1)
     _maybe_crosscheck("diffusion", out, lambda: dense_diffusion_matrix(sv, on))
     return Statevector(sv.num_qubits, out)
 
@@ -265,11 +303,18 @@ def apply_conditional_bit_flip(
     if target in on:
         raise ConfigurationError("target qubit may not be among the controls")
     marked = _checked_mask(marked, on)
-    # the target as the top row bit: its two halves trade places where marked
-    order = on.indices + (target,)
-    halves = _rows(sv, order).reshape(2, 2 ** len(on), -1)
-    swapped = np.where(marked[:, None], halves[::-1], halves)
-    out = _from_rows(swapped, sv.num_qubits, order)
+    shape, axes, target_axis = _run_view(sv.num_qubits, on, target)
+    out = sv.amplitudes.copy()
+    view = out.reshape(shape)
+    patterns = np.flatnonzero(marked)
+    # the target is indexed by an array even with no controls, so both
+    # reads below are copies and the swap cannot alias
+    low = _pattern_index(len(shape), axes, patterns)
+    high = list(low)
+    low[target_axis] = np.zeros_like(patterns)
+    high[target_axis] = np.ones_like(patterns)
+    low, high = tuple(low), tuple(high)
+    view[low], view[high] = view[high], view[low]
     _maybe_crosscheck(
         "conditional_bit_flip", out, lambda: dense_bit_flip_matrix(sv, target, marked, on)
     )
@@ -286,10 +331,13 @@ def apply_index_map(
     arr = np.asarray(mapping, dtype=np.int64)
     if arr.shape != (2**k,) or sorted(arr.tolist()) != list(range(2**k)):
         raise ValidationError(f"mapping is not a bijection over {2**k} patterns")
-    rows = _rows(sv, on.indices)
-    moved = np.empty_like(rows)
-    moved[arr] = rows
-    out = _from_rows(moved, sv.num_qubits, on.indices)
+    shape, axes, _ = _run_view(sv.num_qubits, on)
+    out = sv.amplitudes.copy()
+    view = out.reshape(shape)
+    # only the patterns that move are read (as a copy) and written
+    moved = np.flatnonzero(arr != np.arange(2**k))
+    source = tuple(_pattern_index(len(shape), axes, moved))
+    view[tuple(_pattern_index(len(shape), axes, arr[moved]))] = view[source]
     _maybe_crosscheck("index_map", out, lambda: dense_index_map_matrix(sv, mapping, on))
     return Statevector(sv.num_qubits, out)
 
@@ -332,6 +380,24 @@ def top_outcome(counts: np.ndarray) -> str:
             f"counts must be one entry per basis index, got shape {counts.shape}"
         )
     return format(int(np.argmax(counts)), f"0{num_qubits}b")
+
+
+def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:
+    # qubit q is axis m-1-q of the (2,)*m tensor; order[-1] leads, and the
+    # other axes keep their order behind the leading ones
+    lead = [num_qubits - 1 - q for q in reversed(order)]
+    return lead + [a for a in range(num_qubits) if a not in lead]
+
+
+def _rows(sv: Statevector, order: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a (2**k, rest) matrix; row p is sub-pattern p.
+
+    Bit j of p is qubit order[j]. The columns run over the other qubits in
+    basis-index order. A transposed copy: the read-outs below keep it
+    because their sums run in this row order.
+    """
+    tensor = sv.amplitudes.reshape((2,) * sv.num_qubits)
+    return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
 
 
 def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:

@@ -343,12 +343,11 @@ def disentangled_layout(problem: SearchProblem) -> CompositeLayout:
 def _flags_cleared_uniform(layout: CompositeLayout) -> Statevector:
     """Uniform over candidate register and blocks, flags pinned to 0."""
     total = layout.total_qubits
-    flag_mask = 0
-    for k in range(1, layout.v + 1):
-        flag_mask |= 1 << layout.flag(k)
-    idx = np.arange(2**total)
-    live = (idx & flag_mask) == 0
-    amps = np.where(live, 1.0 / math.sqrt(int(live.sum())), 0.0).astype(np.complex128)
+    amps = np.zeros(2**total, dtype=np.complex128)
+    # one (block, flag) axis pair per block, highest block first, then the
+    # candidate register
+    view = amps.reshape((2**layout.block_width, 2) * layout.v + (2**layout.g,))
+    view[(slice(None), 0) * layout.v] = 1.0 / math.sqrt(2 ** (total - layout.v))
     return Statevector(total, amps)
 
 

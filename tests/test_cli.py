@@ -328,8 +328,8 @@ class TestVerify:
     def test_too_wide_cnot_check_exits_one_before_the_replay(
         self, tmp_path, capsys, monkeypatch
     ):
-        # g = 10 data qubits plus one flag per relabeling swap exceed the
-        # controlled-not check's 12 qubits; nothing may be simulated first
+        # g = 16 data qubits plus one flag for each of the five relabeling
+        # swaps exceed the simulator's 20 qubits; nothing may be simulated first
         calls = []
         original = runmod.compacted_search_state
 
@@ -340,13 +340,14 @@ class TestVerify:
         monkeypatch.setattr(runmod, "compacted_search_state", counted)
         config = write_config(
             tmp_path,
-            "strategy: permutation\nm: 20\ng: 10\n"
-            "upper_oracle: [10, -9, 8, -7, 6, -5, 4, -3, 2, -1]\n"
-            "lower_oracle: [10, 9, -8, 7, -6, 5, -4, 3, -2, 1]\n"
-            'candidates: ["0110101010", "1110101011", "1010101011", "1101010101"]\n',
+            "strategy: permutation\nm: 20\ng: 16\n"
+            "upper_oracle: [4, -3, 2, -1]\n"
+            "lower_oracle: [16, -15, 14, -13, 12, -11, 10, -9, 8, -7, 6, -5, 4, -3, 2, -1]\n"
+            'candidates: ["0110101010110101", "1110101011001011", "1010101011110000",'
+            ' "1101010101001100", "0011001100110011"]\n',
         )
         assert run_cli("verify", "--config", config) == EXIT_CONFIG_ERROR
-        assert "controlled-not check needs 14 qubits, limit is 12" in capsys.readouterr().err
+        assert "controlled-not check needs 21 qubits, limit is 20" in capsys.readouterr().err
         assert calls == []
 
 

@@ -151,3 +151,26 @@ def test_histograms_compare_by_width_and_arrays():
     assert histogram != {"01": {"count": 5, "probability": 1.0}}
     with pytest.raises(TypeError):
         hash(histogram)
+
+
+def test_cnot_check_covers_a_relabeling_wider_than_twelve_qubits():
+    # g = 10 data qubits and 4 flags: one pass sees all 1024 data patterns
+    spec = permmod.build_permutation(["0110101010", "1110101011", "1010101011", "1101010101"])
+    report = runmod._cnot_equivalence(spec)
+    assert report == {"basis_states": 1024, "flag_qubits": 4, "max_deviation": 0.0}
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (5, 1023)])
+def test_cnot_check_sees_any_two_patterns_traded(a, b):
+    # a mapping the gates do not realize: two of its entries traded
+    spec = permmod.build_permutation(["0110101010", "1110101011", "1010101011", "1101010101"])
+    mapping = list(spec.mapping)
+    mapping[a], mapping[b] = mapping[b], mapping[a]
+    wrong = permmod.PermutationSpec(
+        width=spec.width,
+        mapping=tuple(mapping),
+        convention=spec.convention,
+        code_width=spec.code_width,
+        transpositions=spec.transpositions,
+    )
+    assert runmod._cnot_equivalence(wrong)["max_deviation"] >= 1 - 1e-9

@@ -75,6 +75,14 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="norm"):
             Statevector(2, np.array([0.5, bad, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+    def test_rejects_a_norm_off_by_a_millionth(self, factor):
+        amps = random_state(6, 1).amplitudes * factor
+        with pytest.raises(ValidationError, match="norm"):
+            Statevector(6, amps)
+        # rounding noise well inside the tolerance passes
+        Statevector(6, random_state(6, 1).amplitudes * (1 + 1e-12))
+
     def test_rejects_oversized_register(self):
         with pytest.raises(ConfigurationError):
             init_uniform(21)
@@ -415,6 +423,85 @@ class TestKernelsAgreeWithMirrors:
         rnd.shuffle(mapping)
         dense = svmod.dense_index_map_matrix(sv, mapping, on)
         assert np.allclose(apply_index_map(sv, mapping, on).amplitudes, dense, atol=1e-12)
+
+    # the run view's edge cases, each against the reference and as an
+    # equality of values, on registers of 1 to 6 qubits
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_bit_flip_without_controls(self, m, flip):
+        # a one-entry mask over no control qubits: the swap covers the whole
+        # register, and reading its halves as views would alias
+        sv = random_state(m, m)
+        for target in range(m):
+            out = apply_conditional_bit_flip(sv, target, np.array([flip]), qubits())
+            dense = svmod.dense_bit_flip_matrix(sv, target, np.array([flip]), qubits())
+            assert np.array_equal(out.amplitudes, dense)
+            expected = sv.amplitudes.reshape(-1, 2, 2**target)
+            if flip:
+                expected = expected[:, ::-1]
+            assert np.array_equal(out.amplitudes, expected.reshape(-1))
+
+    @pytest.mark.parametrize(
+        "on, target", [((0, 1, 3, 4), 2), ((0, 2, 5), 3), ((1, 2, 4, 5), 3), ((4,), 0)]
+    )
+    def test_bit_flip_with_the_target_between_control_runs(self, on, target):
+        sv = random_state(6, 11)
+        marked = np.random.default_rng(len(on)).random(2 ** len(on)) < 0.5
+        out = apply_conditional_bit_flip(sv, target, marked, qubits(*on))
+        dense = svmod.dense_bit_flip_matrix(sv, target, marked, qubits(*on))
+        assert np.array_equal(out.amplitudes, dense)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("on", [(0,), (1, 3), (0, 1, 2), (0, 2, 3, 4)])
+    def test_all_false_and_all_true_masks(self, fill, on):
+        sv = random_state(5, 5)
+        on = qubits(*on)
+        marked = np.full(2 ** len(on), fill)
+        flipped = apply_phase_flip(sv, marked, on)
+        assert np.array_equal(flipped.amplitudes, -sv.amplitudes if fill else sv.amplitudes)
+        target = next(q for q in range(5) if q not in on)
+        swapped = apply_conditional_bit_flip(sv, target, marked, on)
+        assert np.array_equal(
+            swapped.amplitudes, svmod.dense_bit_flip_matrix(sv, target, marked, on)
+        )
+        assert np.array_equal(
+            swapped.amplitudes,
+            svmod.dense_bit_flip_matrix(sv, target, np.array([fill]), qubits()),
+        )
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_on_covering_the_whole_register(self, m):
+        sv = random_state(m, 20 + m)
+        on = qubit_range(0, m)
+        rng = np.random.default_rng(m)
+        marked = rng.random(2**m) < 0.5
+        mapping = rng.permutation(2**m)
+        flipped = apply_phase_flip(sv, marked, on)
+        assert np.array_equal(flipped.amplitudes, np.where(marked, -1.0, 1.0) * sv.amplitudes)
+        moved = apply_index_map(sv, mapping, on)
+        assert np.array_equal(moved.amplitudes[mapping], sv.amplitudes)
+        diffused = apply_diffusion(sv, on)
+        assert np.allclose(
+            diffused.amplitudes, svmod.dense_diffusion_matrix(sv, on), atol=1e-12
+        )
+        assert np.allclose(diffused.amplitudes, 2 * sv.amplitudes.mean() - sv.amplitudes)
+
+    @given(kernel_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_leave_their_input_untouched(self, case):
+        sv, on, rest, rnd = case
+        before = sv.amplitudes.copy()
+        marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
+        mapping = list(range(2 ** len(on)))
+        rnd.shuffle(mapping)
+        apply_phase_flip(sv, marked, on)
+        apply_diffusion(sv, on)
+        apply_index_map(sv, mapping, on)
+        if rest:
+            apply_conditional_bit_flip(sv, rnd.choice(rest), marked, on)
+        apply_conditional_bit_flip(sv, on.indices[0], np.array([True]), qubits())
+        assert np.array_equal(sv.amplitudes, before)
+        assert before.tobytes() == sv.amplitudes.tobytes()
 
     @given(kernel_cases())
     @settings(max_examples=60, deadline=None)
