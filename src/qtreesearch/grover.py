@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .statevector import QubitSet, Statevector, apply_diffusion, apply_phase_flip
+from .statevector import QubitSet, Statevector, _Register, apply_diffusion, apply_phase_flip
 
 
 @dataclass
@@ -96,14 +96,20 @@ def amplify(
 
     A mask that also reads qubits outside ``diffuse_on`` lets their
     amplitudes steer which patterns of the diffused qubits grow.
+
+    The rounds run on one writable register: a copy of ``sv`` that every
+    kernel call updates in place and norm-checks, frozen into the returned
+    Statevector. ``sv`` itself is left untouched, and the result shares no
+    memory with it.
     """
     if rounds < 0:
         raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
+    sv = _Register(sv)
     for _ in range(rounds):
         sv = apply_phase_flip(sv, marked, flip_on)
         sv = apply_diffusion(sv, diffuse_on)
         if counter is not None:
             counter.count_oracle()
             counter.count_diffusion()
-    return sv
+    return sv.freeze()
 

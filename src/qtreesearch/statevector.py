@@ -2,19 +2,24 @@
 
 Basis indexing is little-endian: qubit q is bit q of the basis index, and
 textual labels therefore print qubit m-1 first. An oracle reaches a kernel
-as a boolean mask over the sub-patterns of the qubits it reads. Operations
-are functional, returning a fresh Statevector and leaving inputs untouched.
-Read-outs stay arrays indexed by basis index: ``sample`` returns one count
-per index and ``top_outcome`` reads that array, so a label is formatted
-only where a report needs it.
+as a boolean mask over the sub-patterns of the qubits it reads. A kernel
+given a Statevector is functional: it returns a fresh Statevector and leaves
+its input untouched. An amplification loop instead opens one writable
+register (``_Register``), a single copy of its starting amplitudes that each
+kernel updates in place and returns, and freezes it into one final
+Statevector, so its rounds allocate no register-sized array. Read-outs
+stay arrays indexed by basis index: ``sample`` returns one count per index
+and ``top_outcome`` reads that array, so a label is formatted only where a
+report needs it.
 
 Every kernel addresses its qubits through one run view: a reshape, without
 a copy, with one axis per run of consecutive qubits of one kind (in
 ``on``, the target, or neither). A sub-pattern indexes the ``on`` axes, one
 bit field per run, so a phase flip, bit flip or index map reads and writes
 only the sub-patterns it marks or moves, and a diffusion takes its mean
-over the ``on`` axes. Each kernel writes one new array, either a copy of
-its input or the diffusion's result, and leaves the input untouched. The
+over the ``on`` axes. On a Statevector a kernel writes one new array, a
+copy of its input or the diffusion's result; on a register it writes the
+register's own array. Either way its output is norm-checked. The
 read-outs ``marginal_distribution`` and ``partition_purity`` instead view
 the amplitudes as a transposed (2**k, rest) matrix whose row p is
 sub-pattern p: their sums run in that row order, and the bundled artifacts
@@ -33,7 +38,7 @@ import bisect
 import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -104,9 +109,7 @@ class Statevector:
             raise ConfigurationError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        _check_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -115,6 +118,36 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+
+
+class _Register:
+    """A register one amplification loop owns and the kernels update in place.
+
+    Opening it copies the starting state's amplitudes once. A kernel given
+    the register writes into that array, checks its norm and returns the
+    same register. ``freeze`` hands the array to one final Statevector
+    without copying it; the register is spent after that.
+    """
+
+    __slots__ = ("num_qubits", "amplitudes")
+
+    def __init__(self, sv: Statevector) -> None:
+        self.num_qubits = sv.num_qubits
+        self.amplitudes = sv.amplitudes.copy()
+
+    def freeze(self) -> Statevector:
+        amps, self.amplitudes = self.amplitudes, None
+        return Statevector(self.num_qubits, amps)
+
+
+# a kernel returns the kind of state it was given
+_State = TypeVar("_State", Statevector, _Register)
 
 
 def init_uniform(num_qubits: int) -> Statevector:
@@ -182,6 +215,27 @@ def _maybe_crosscheck(
         check.record(label, float(np.max(np.abs(fast - reference()))))
 
 
+def _unwritten(sv: _State) -> Statevector | _Register:
+    """The input as the kernel's reference must read it: under an active
+    cross-check, a register is snapshotted before the kernel writes it."""
+    if isinstance(sv, _Register) and _ACTIVE_CHECK.get() is not None:
+        return Statevector(sv.num_qubits, sv.amplitudes.copy())
+    return sv
+
+
+def _writable(sv: _State) -> np.ndarray:
+    """The array a kernel writes: a register's own, or a Statevector's copy."""
+    return sv.amplitudes if isinstance(sv, _Register) else sv.amplitudes.copy()
+
+
+def _updated(sv: _State, out: np.ndarray) -> _State:
+    """The kernel's norm-checked result, of the kind it was given."""
+    if isinstance(sv, _Register):
+        _check_norm(out)
+        return sv
+    return Statevector(sv.num_qubits, out)
+
+
 # ---------------------------------------------------------------------------
 # kernels: each reshapes the amplitudes, without a copy, into one axis per
 # run of consecutive qubits of one kind (in ``on``, the target, or neither)
@@ -225,9 +279,12 @@ def _run_view(
 
 
 def _pattern_index(
-    ndim: int, axes: list[tuple[int, int, int]], patterns: np.ndarray
+    ndim: int, axes: list[tuple[int, int, int]], patterns: np.ndarray | int
 ) -> list:
-    """Run-view index of the given sub-patterns, every other axis whole."""
+    """Run-view index of the given sub-patterns, every other axis whole.
+
+    An int pattern gives a basic index, which selects a view, not a copy.
+    """
     index: list = [slice(None)] * ndim
     for axis, shift, width in axes:
         index[axis] = (patterns >> shift) & ((1 << width) - 1)
@@ -246,8 +303,8 @@ def _checked_mask(marked, on: QubitSet) -> np.ndarray:
 
 
 def apply_phase_flip(
-    sv: Statevector, marked: np.ndarray, on: QubitSet | Sequence[int]
-) -> Statevector:
+    sv: _State, marked: np.ndarray, on: QubitSet | Sequence[int]
+) -> _State:
     """Negate amplitudes whose bits at ``on`` form a marked sub-pattern.
 
     ``marked`` is indexed by the sub-pattern, the int whose bit j is the
@@ -259,14 +316,20 @@ def apply_phase_flip(
         raise ConfigurationError("phase flip needs at least one qubit")
     marked = _checked_mask(marked, on)
     shape, axes, _ = _run_view(sv.num_qubits, on)
-    out = sv.amplitudes.copy()
+    before = _unwritten(sv)
+    out = _writable(sv)
     view = out.reshape(shape)
-    view[tuple(_pattern_index(len(shape), axes, np.flatnonzero(marked)))] *= -1.0
-    _maybe_crosscheck("phase_flip", out, lambda: dense_phase_flip_matrix(sv, marked, on))
-    return Statevector(sv.num_qubits, out)
+    patterns = np.flatnonzero(marked)
+    # one marked pattern (a flag qubit, a single solution) negates a view in
+    # place; several are gathered, negated and scattered back
+    if patterns.size == 1:
+        patterns = int(patterns[0])
+    view[tuple(_pattern_index(len(shape), axes, patterns))] *= -1.0
+    _maybe_crosscheck("phase_flip", out, lambda: dense_phase_flip_matrix(before, marked, on))
+    return _updated(sv, out)
 
 
-def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevector:
+def apply_diffusion(sv: _State, on: QubitSet | Sequence[int]) -> _State:
     """Reflect about the mean within the ``on`` sub-register.
 
     Acts blockwise: for every fixed pattern of the remaining qubits the
@@ -277,19 +340,22 @@ def apply_diffusion(sv: Statevector, on: QubitSet | Sequence[int]) -> Statevecto
     if len(on) == 0:
         raise ConfigurationError("diffusion needs at least one qubit")
     shape, axes, _ = _run_view(sv.num_qubits, on)
+    before = _unwritten(sv)
     view = sv.amplitudes.reshape(shape)
     mean = view.mean(axis=tuple(axis for axis, _, _ in axes), keepdims=True)
-    out = (2.0 * mean - view).reshape(-1)
-    _maybe_crosscheck("diffusion", out, lambda: dense_diffusion_matrix(sv, on))
-    return Statevector(sv.num_qubits, out)
+    # a register is overwritten in place; a Statevector's result is new
+    in_place = view if isinstance(sv, _Register) else None
+    out = np.subtract(2.0 * mean, view, out=in_place).reshape(-1)
+    _maybe_crosscheck("diffusion", out, lambda: dense_diffusion_matrix(before, on))
+    return _updated(sv, out)
 
 
 def apply_conditional_bit_flip(
-    sv: Statevector,
+    sv: _State,
     target: int,
     marked: np.ndarray,
     on: QubitSet | Sequence[int],
-) -> Statevector:
+) -> _State:
     """Flip the target qubit where the ``on`` bits form a marked sub-pattern.
 
     A classical reversible update (an X gate under an oracle control);
@@ -304,7 +370,8 @@ def apply_conditional_bit_flip(
         raise ConfigurationError("target qubit may not be among the controls")
     marked = _checked_mask(marked, on)
     shape, axes, target_axis = _run_view(sv.num_qubits, on, target)
-    out = sv.amplitudes.copy()
+    before = _unwritten(sv)
+    out = _writable(sv)
     view = out.reshape(shape)
     patterns = np.flatnonzero(marked)
     # the target is indexed by an array even with no controls, so both
@@ -316,30 +383,31 @@ def apply_conditional_bit_flip(
     low, high = tuple(low), tuple(high)
     view[low], view[high] = view[high], view[low]
     _maybe_crosscheck(
-        "conditional_bit_flip", out, lambda: dense_bit_flip_matrix(sv, target, marked, on)
+        "conditional_bit_flip", out, lambda: dense_bit_flip_matrix(before, target, marked, on)
     )
-    return Statevector(sv.num_qubits, out)
+    return _updated(sv, out)
 
 
 def apply_index_map(
-    sv: Statevector, mapping: Sequence[int], on: QubitSet | Sequence[int]
-) -> Statevector:
+    sv: _State, mapping: Sequence[int], on: QubitSet | Sequence[int]
+) -> _State:
     """Relabel the ``on`` sub-register basis by a bijective mapping."""
     on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     k = len(on)
     arr = np.asarray(mapping, dtype=np.int64)
-    if arr.shape != (2**k,) or sorted(arr.tolist()) != list(range(2**k)):
+    if arr.shape != (2**k,) or not np.array_equal(np.sort(arr), np.arange(2**k)):
         raise ValidationError(f"mapping is not a bijection over {2**k} patterns")
     shape, axes, _ = _run_view(sv.num_qubits, on)
-    out = sv.amplitudes.copy()
+    before = _unwritten(sv)
+    out = _writable(sv)
     view = out.reshape(shape)
     # only the patterns that move are read (as a copy) and written
     moved = np.flatnonzero(arr != np.arange(2**k))
     source = tuple(_pattern_index(len(shape), axes, moved))
     view[tuple(_pattern_index(len(shape), axes, arr[moved]))] = view[source]
-    _maybe_crosscheck("index_map", out, lambda: dense_index_map_matrix(sv, mapping, on))
-    return Statevector(sv.num_qubits, out)
+    _maybe_crosscheck("index_map", out, lambda: dense_index_map_matrix(before, mapping, on))
+    return _updated(sv, out)
 
 
 def probabilities(sv: Statevector) -> np.ndarray:

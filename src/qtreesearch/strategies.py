@@ -38,6 +38,7 @@ from .statevector import (
     MAX_QUBITS,
     QubitSet,
     Statevector,
+    _Register,
     apply_conditional_bit_flip,
     apply_diffusion,
     apply_phase_flip,
@@ -376,7 +377,9 @@ def disentangled_search(
     input bound to candidate k, phase-kicked through a flag ancilla that is
     computed, sign-flipped, and uncomputed every round. Nothing couples the
     blocks to the candidate register, so the state stays product across
-    every block boundary and the flags return to 0 exactly.
+    every block boundary and the flags return to 0 exactly. The block
+    rounds run on one writable register that every kernel call updates in
+    place and norm-checks, frozen into the returned state.
 
     The winner is the unique block whose exact marginal puts more than
     DECISION_THRESHOLD on the upper target; None when no such block exists
@@ -393,6 +396,7 @@ def disentangled_search(
     # row z, column y: whether the global oracle marks (z << g) | y
     global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
     flag_set = np.array([False, True])
+    sv = _Register(sv)
     for k in range(1, problem.v + 1):
         # the global oracle with its lower input fixed to candidate k
         bound = global_mask[:, problem.candidates.candidate(k)]
@@ -406,6 +410,7 @@ def disentangled_search(
             if counter is not None:
                 counter.count_oracle()
                 counter.count_diffusion()
+    sv = sv.freeze()
 
     for k in range(1, problem.v + 1):
         leak = flag_excitation(problem, sv, k)

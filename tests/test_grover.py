@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtreesearch.errors import ConfigurationError
+from qtreesearch import grover
+from qtreesearch.errors import ConfigurationError, ValidationError
 from qtreesearch.grover import (
     QueryCounter,
+    amplify,
     iteration_count,
     rotation_angle,
     run_grover,
     success_probability,
 )
 from qtreesearch.statevector import (
+    KernelCrossCheck,
+    Statevector,
+    apply_diffusion,
+    apply_phase_flip,
     init_uniform,
     marginal_probability,
     partition_purity,
@@ -117,3 +123,62 @@ class TestRunGrover:
         assert rotation_angle(4, 4) == pytest.approx(math.pi / 2)
         assert rotation_angle(4, 1) == pytest.approx(math.pi / 6)
 
+
+def _random_state(num_qubits, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return Statevector(num_qubits, amps / np.linalg.norm(amps))
+
+
+# a flip over scattered qubits steering a diffusion over others
+FLIP_ON, DIFFUSE_ON = qubits(0, 2, 3, 5), qubits(1, 2, 4)
+MARKED = np.random.default_rng(9).random(16) < 0.3
+
+
+class TestAmplifyLoop:
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_the_input_state_is_left_untouched_and_unshared(self, rounds):
+        sv = _random_state(6, 1)
+        before = sv.amplitudes.tobytes()
+        out = amplify(sv, MARKED, FLIP_ON, DIFFUSE_ON, rounds)
+        assert sv.amplitudes.tobytes() == before
+        assert not np.shares_memory(out.amplitudes, sv.amplitudes)
+        if rounds == 0:
+            assert out.amplitudes.tobytes() == before
+
+    def test_rounds_match_functional_kernel_calls_under_a_cross_check(self):
+        sv = _random_state(6, 2)
+        with KernelCrossCheck() as looped:
+            out = amplify(sv, MARKED, FLIP_ON, DIFFUSE_ON, 3)
+        with KernelCrossCheck() as functional:
+            expected = sv
+            for _ in range(3):
+                expected = apply_phase_flip(expected, MARKED, FLIP_ON)
+                expected = apply_diffusion(expected, DIFFUSE_ON)
+        assert [label for label, _ in looped.records] == ["phase_flip", "diffusion"] * 3
+        assert looped.records == functional.records
+        assert looped.max_deviation <= 1e-12
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch):
+        # the third flip's output is scaled, so the diffusion of that same
+        # round sees a non-unit register: the norm is checked per kernel
+        # call, not only when the loop freezes its register
+        flips, diffusions = [], []
+
+        def scaled_third_flip(sv, marked, on):
+            out = apply_phase_flip(sv, marked, on)
+            flips.append(1)
+            if len(flips) == 3:
+                out.amplitudes *= 1.01
+            return out
+
+        def counted_diffusion(sv, on):
+            diffusions.append(1)
+            return apply_diffusion(sv, on)
+
+        monkeypatch.setattr(grover, "apply_phase_flip", scaled_third_flip)
+        monkeypatch.setattr(grover, "apply_diffusion", counted_diffusion)
+        with pytest.raises(ValidationError, match="norm"):
+            amplify(_random_state(6, 3), MARKED, FLIP_ON, DIFFUSE_ON, 5)
+        assert (len(flips), len(diffusions)) == (3, 3)

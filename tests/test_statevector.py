@@ -273,10 +273,21 @@ class TestIndexMap:
             out = apply_index_map(basis_state(3, source), [0, 2, 3, 1], qubits(0, 2))
             assert probability_map(out) == {label: 1.0}, source
 
-    def test_rejects_non_bijection(self):
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            [0, 0, 1, 2],  # a duplicate
+            [0, 1, 2, 4],  # a value of 2**k
+            [0, 1, 3, -1],  # a negative value
+            [0, 1, 2],  # too short
+            [0, 1, 2, 3, 0],  # too long
+            [[0, 1], [2, 3]],  # the right values in the wrong shape
+        ],
+    )
+    def test_rejects_non_bijection(self, mapping):
         sv = init_uniform(2)
         with pytest.raises(ValidationError):
-            apply_index_map(sv, [0, 0, 1, 2], qubits(0, 1))
+            apply_index_map(sv, mapping, qubits(0, 1))
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**10))
     def test_permutation_preserves_norm(self, m, seed):
@@ -374,9 +385,9 @@ def _subpattern_by_loop(index, on):
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, min_qubits=2, max_qubits=6):
     """A random state with a random qubit set; ``rest`` are the others."""
-    m = draw(st.integers(min_value=2, max_value=6))
+    m = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
     chosen = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
     on = qubits(*sorted(chosen))
     rest = [q for q in range(m) if q not in on]
@@ -469,6 +480,19 @@ class TestKernelsAgreeWithMirrors:
             svmod.dense_bit_flip_matrix(sv, target, np.array([fill]), qubits()),
         )
 
+    @pytest.mark.parametrize("on", [(0,), (2,), (0, 1), (1, 3), (0, 2, 3, 5), (0, 1, 2, 3, 4, 5)])
+    def test_phase_flip_of_one_marked_pattern(self, on):
+        # a single marked pattern is negated through a view, not a copy
+        sv = random_state(6, len(on))
+        on = qubits(*on)
+        for pattern in range(2 ** len(on)):
+            marked = np.arange(2 ** len(on)) == pattern
+            expected = svmod.dense_phase_flip_matrix(sv, marked, on)
+            assert np.array_equal(apply_phase_flip(sv, marked, on).amplitudes, expected)
+            register = svmod._Register(sv)
+            apply_phase_flip(register, marked, on)
+            assert np.array_equal(register.amplitudes, expected)
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_on_covering_the_whole_register(self, m):
         sv = random_state(m, 20 + m)
@@ -532,6 +556,53 @@ class TestKernelsAgreeWithMirrors:
             rho += np.outer(vec, vec.conj())
         expected = float(np.real(np.trace(rho @ rho)))
         assert partition_purity(sv, on) == pytest.approx(expected, abs=1e-12)
+
+
+class TestWritableRegister:
+    """Kernels given a register update it in place, as the loops use them."""
+
+    @given(kernel_cases(min_qubits=1, max_qubits=10))
+    @settings(max_examples=60, deadline=None)
+    def test_each_kernel_in_place_matches_the_functional_call(self, case):
+        sv, on, rest, rnd = case
+        marked = np.array([rnd.random() < 0.5 for _ in range(2 ** len(on))])
+        mapping = list(range(2 ** len(on)))
+        rnd.shuffle(mapping)
+        # the bit flip's target lies outside its controls: with no other
+        # qubit left, the top qubit of ``on`` becomes the target
+        controls, target = (on, rnd.choice(rest)) if rest else (
+            qubits(*on.indices[:-1]), on.indices[-1]
+        )
+        controlled = np.array([rnd.random() < 0.5 for _ in range(2 ** len(controls))])
+        kernels = {
+            "phase_flip": lambda s: apply_phase_flip(s, marked, on),
+            "diffusion": lambda s: apply_diffusion(s, on),
+            "index_map": lambda s: apply_index_map(s, mapping, on),
+            "conditional_bit_flip": lambda s: apply_conditional_bit_flip(
+                s, target, controlled, controls
+            ),
+        }
+        before = sv.amplitudes.tobytes()
+        for label, kernel in kernels.items():
+            with KernelCrossCheck() as functional:
+                expected = kernel(sv)
+            register = svmod._Register(sv)
+            with KernelCrossCheck() as in_place:
+                assert kernel(register) is register
+            assert register.amplitudes.tobytes() == expected.amplitudes.tobytes(), label
+            # the reference read the register as it was before the write
+            assert in_place.records == functional.records, label
+            assert in_place.max_deviation <= 1e-12, label
+            assert sv.amplitudes.tobytes() == before, label
+
+    def test_freeze_hands_over_the_array_without_a_copy(self):
+        sv = random_state(5, 2)
+        register = svmod._Register(sv)
+        assert not np.shares_memory(register.amplitudes, sv.amplitudes)
+        amps = register.amplitudes
+        frozen = register.freeze()
+        assert frozen.amplitudes is amps
+        assert register.amplitudes is None
 
 
 class TestKernelCrossCheck:

@@ -6,8 +6,10 @@ a 2-round single-mark search over 8 states puts 121/128 on the mark, and a
 1-round search with a quarter marked is exact.
 """
 
+import numpy as np
 import pytest
 
+from qtreesearch import strategies
 from qtreesearch.errors import ConfigurationError, PreconditionError, ValidationError
 from qtreesearch.grover import QueryCounter
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
@@ -234,6 +236,24 @@ class TestDisentangledSearch:
             assert p == pytest.approx(0.125, abs=1e-12)
         # prep (1) + two rounds in each of two blocks (4)
         assert counter.oracle_calls == 5
+
+    def test_block_rounds_leave_the_prepared_state_untouched(self, monkeypatch):
+        # the block loop updates its own register: the prepared candidate
+        # state it starts from keeps its bytes, and the result shares no
+        # memory with it
+        prepared = []
+        real = strategies.run_grover
+
+        def recording(*args, **kwargs):
+            state = real(*args, **kwargs)
+            prepared.append((state, state.amplitudes.tobytes()))
+            return state
+
+        monkeypatch.setattr(strategies, "run_grover", recording)
+        _, state = disentangled_search(six_qubit_problem())
+        [(start, before)] = prepared
+        assert start.amplitudes.tobytes() == before
+        assert not np.shares_memory(state.amplitudes, start.amplitudes)
 
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()

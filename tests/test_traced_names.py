@@ -3,13 +3,21 @@
 bench/tracing.py names the functions it wraps as ``module.function`` and
 reads a few of their positional arguments. A renamed function or a moved
 argument would fail ``bench/run.py --trace 1`` and nothing else, so these
-tests read the tracer's own lists and resolve each entry.
+tests read the tracer's own lists and resolve each entry. The tracer also
+counts a loop's kernel calls only while the loop calls the kernels through
+its module's names, which the last tests check by rebinding those names.
 """
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
+
+from qtreesearch import grover, strategies
+from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
+from qtreesearch.statevector import init_uniform, qubit_range
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -51,3 +59,49 @@ def test_arguments_the_tracer_reads_keep_their_place():
         assert _positional(kernel)[0] == "sv", kernel
     assert _positional("grover.run_grover")[3] == "rounds"
     assert _positional("cli.write_output")[0] == "text"
+
+
+def _count_calls(monkeypatch, module, names):
+    """Rebind each kernel name in ``module`` to a wrapper that records the
+    register width of every call, as the tracer reads it from args[0]."""
+    widths = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _kernel=getattr(module, name), _seen=widths[name], **kwargs):
+            _seen.append(args[0].num_qubits)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return widths
+
+
+def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
+    widths = _count_calls(monkeypatch, grover, ("apply_phase_flip", "apply_diffusion"))
+    marked = np.arange(32) % 7 == 3
+    grover.amplify(init_uniform(6), marked, qubit_range(0, 5), qubit_range(2, 6), 4)
+    assert widths == {"apply_phase_flip": [6] * 4, "apply_diffusion": [6] * 4}
+
+
+def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
+    prep = _count_calls(monkeypatch, grover, ("apply_phase_flip", "apply_diffusion"))
+    blocks = _count_calls(
+        monkeypatch,
+        strategies,
+        ("apply_conditional_bit_flip", "apply_phase_flip", "apply_diffusion"),
+    )
+    # m = 6, g = 3, v = 2: a composite of 3 + 2 * (3 + 1) = 11 qubits, one
+    # preparation round, and r(8, 1) = 2 rounds in each block
+    problem = strategies.SearchProblem(
+        global_oracle=ConcatenatedOracle(
+            ConjunctionOracle.from_signed_literals([-3, -2, 1], width=3),
+            ConjunctionOracle.from_signed_literals([-3, 2, 1], width=3),
+        ),
+        candidates=PartialCandidateSet.from_strings(["011", "101"]),
+    )
+    strategies.disentangled_search(problem)
+    assert prep == {"apply_phase_flip": [11], "apply_diffusion": [11]}
+    # per block round: compute the flag, flip its phase, uncompute, diffuse
+    assert blocks == {
+        "apply_conditional_bit_flip": [11] * 8,
+        "apply_phase_flip": [11] * 4,
+        "apply_diffusion": [11] * 4,
+    }
