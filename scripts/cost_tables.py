@@ -3,15 +3,33 @@
 
 The first table sweeps register widths at fixed candidate counts. The
 second sets v = m, the regime where relabeling pays off most, and shows
-the ordering permutation <= disentangled <= iterative <= baseline.
+the ordering permutation <= disentangled <= iterative <= baseline. Bad
+input exits 1 with one ``error:`` line, as the ``qtreesearch`` CLI does.
 """
 
 import argparse
 import sys
 
-from qtreesearch.cli import COST_COLUMNS, _csv_text, render_cost_text, write_output
+from qtreesearch.cli import parse_int_list, render_cost_csv, render_cost_text, write_output
 from qtreesearch.costs import STRATEGIES, times_ratio, times_ratio_limit
-from qtreesearch.runner import cost_table
+from qtreesearch.runner import EXIT_CONFIG_ERROR, cost_table
+
+
+def tables(ms: list[int], vs: list[int], output_format: str) -> str:
+    report = {"rows": cost_table(ms, vs, list(STRATEGIES))}
+    if output_format == "csv":
+        return render_cost_csv(report)
+    rows = []
+    for m in ms:
+        rows.extend(cost_table([m], [m], list(STRATEGIES)))
+    ratios = ", ".join(f"m={m}: {times_ratio(m, 4):.4f}" for m in ms if m >= 16)
+    return (
+        render_cost_text(report)
+        + "\nv = m ordering:\n"
+        + render_cost_text({"rows": rows})
+        + f"\niterative/disentangled ratio at v=4 ({ratios}; "
+        f"limit {times_ratio_limit(4):.4f})\n"
+    )
 
 
 def main() -> int:
@@ -21,26 +39,13 @@ def main() -> int:
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     parser.add_argument("--out", default=None, help="write here instead of stdout")
     args = parser.parse_args()
-
-    ms = [int(x) for x in args.m.split(",") if x.strip()]
-    vs = [int(x) for x in args.v.split(",") if x.strip()]
-    render = render_cost_text if args.format == "text" else (
-        lambda rows: _csv_text(COST_COLUMNS, rows)
-    )
-
-    chunks = [render(cost_table(ms, vs, list(STRATEGIES)))]
-    if args.format == "text":
-        chunks.append("\nv = m ordering:\n")
-        rows = []
-        for m in ms:
-            rows.extend(cost_table([m], [m], list(STRATEGIES)))
-        chunks.append(render_cost_text(rows))
-        ratios = ", ".join(f"m={m}: {times_ratio(m, 4):.4f}" for m in ms if m >= 16)
-        chunks.append(
-            f"\niterative/disentangled ratio at v=4 ({ratios}; "
-            f"limit {times_ratio_limit(4):.4f})\n"
-        )
-    write_output("".join(chunks), args.out)
+    try:
+        ms = parse_int_list(args.m, "--m")
+        vs = parse_int_list(args.v, "--v")
+        write_output(tables(ms, vs, args.format), args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return 0
 
 

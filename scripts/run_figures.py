@@ -3,10 +3,12 @@
 
 Writes one <name>.json per config into the output directory and prints a
 one-line summary per run. Exit status is the worst exit code seen, so CI
-can gate on it.
+can gate on it; bad input exits 1 with one ``error:`` line, as the
+``qtreesearch`` CLI does.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from qtreesearch.cli import render_json, write_output
 from qtreesearch.config import bundled_configs, load_config
-from qtreesearch.runner import run_experiment
+from qtreesearch.runner import EXIT_CONFIG_ERROR, run_experiment
 
 
 def main() -> int:
@@ -22,16 +24,20 @@ def main() -> int:
     parser.add_argument("--out-dir", default="artifacts", help="where to put the JSON files")
     parser.add_argument("--seed", type=int, default=None, help="override every config's seed")
     args = parser.parse_args()
+    try:
+        return run_all(Path(args.out_dir), args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
-    out_dir = Path(args.out_dir)
+
+def run_all(out_dir: Path, seed: int | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
     for name, path in sorted(bundled_configs().items()):
         config = load_config(path)
-        if args.seed is not None:
-            import dataclasses
-
-            config = dataclasses.replace(config, seed=args.seed)
+        if seed is not None:
+            config = dataclasses.replace(config, seed=seed)
         artifact, exit_code = run_experiment(config)
         write_output(render_json(artifact), str(out_dir / f"{name}.json"))
         worst = max(worst, exit_code)

@@ -1,9 +1,12 @@
 """Command line front end: run, cost, verify, and sweep subcommands.
 
-Machine-readable output (json, csv) is a pure function of config and seed;
-wall-clock timing appears only in the text renderer. JSON output is byte
-for byte what ``json.dumps(payload, indent=2, sort_keys=True)`` writes, from
-a renderer of its own (``render_json``) that refuses NaN and infinity.
+Each subcommand returns a report, and ``main`` writes it through one path:
+json through ``render_json``, csv and text through the subcommand's own
+renderers in ``_COMMANDS``, then ``write_output``. Machine-readable output
+(json, csv) is a pure function of config and seed; wall-clock timing is
+the last line of text output only. JSON output is byte for byte what
+``json.dumps(payload, indent=2, sort_keys=True)`` writes, from a renderer
+of its own (``render_json``) that refuses NaN and infinity.
 A run's histogram reaches every renderer as the ``Histogram`` arrays that
 ``runner.merge_counts`` returns: json renders each distinct leaf once,
 csv zips the arrays, and text ranks them with ``np.lexsort``. Files are
@@ -38,6 +41,7 @@ from .costs import STRATEGIES
 from .errors import ConfigurationError
 from .runner import (
     EXIT_CONFIG_ERROR,
+    EXIT_OK,
     Histogram,
     cost_table,
     run_experiment,
@@ -236,7 +240,7 @@ def render_run_csv(artifact: dict) -> str:
     return _csv_text(HISTOGRAM_COLUMNS, rows)
 
 
-def render_run_text(artifact: dict, wall_time: float) -> str:
+def render_run_text(artifact: dict) -> str:
     lines = []
     config = artifact["config"]
     name = config.get("name") or "<unnamed>"
@@ -300,23 +304,30 @@ def render_run_text(artifact: dict, wall_time: float) -> str:
             f"  validity {validity['constraint']}: holds={_cell(validity['holds'])} "
             f"margin={validity['margin']:.3f}"
         )
-    lines.append(f"wall_time_s: {wall_time:.4f}")
     return "\n".join(lines) + "\n"
 
 
-def render_cost_text(rows: list[dict]) -> str:
-    table = [[_cell(row.get(column)) or "-" for column in COST_COLUMNS] for row in rows]
+def _table(columns, records) -> list[str]:
+    """Fixed-width lines: the header, then one line per record, '-' in an empty cell."""
+    table = [[_cell(value) or "-" for value in row] for row in _in_columns(columns, records)]
     widths = [
-        max(len(COST_COLUMNS[i]), max(len(line[i]) for line in table))
-        for i in range(len(COST_COLUMNS))
+        max(len(column), *(len(line[i]) for line in table)) for i, column in enumerate(columns)
     ]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*COST_COLUMNS)]
-    lines.extend(fmt.format(*line) for line in table)
-    return "\n".join(lines) + "\n"
+    return [fmt.format(*columns), *(fmt.format(*line) for line in table)]
 
 
-def render_verify_text(report: dict, wall_time: float) -> str:
+def render_cost_csv(report: dict) -> str:
+    """The cost report's rows as csv; ``report`` needs only its ``rows``."""
+    return _csv_text(COST_COLUMNS, _in_columns(COST_COLUMNS, report["rows"]))
+
+
+def render_cost_text(report: dict) -> str:
+    """The cost report's rows as a fixed-width table; ``report`` needs only its ``rows``."""
+    return "\n".join(_table(COST_COLUMNS, report["rows"])) + "\n"
+
+
+def render_verify_text(report: dict) -> str:
     lines = [
         f"verify strategy={report['strategy']} tolerance={report['tolerance']:g}",
         f"kernel checks: {report['kernel_checks']['count']} operations, "
@@ -331,7 +342,6 @@ def render_verify_text(report: dict, wall_time: float) -> str:
             f"{cnot['flag_qubits']} flags, max deviation {cnot['max_deviation']:.3e}"
         )
     lines.append(f"passed: {_cell(report['passed'])}")
-    lines.append(f"wall_time_s: {wall_time:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,21 +352,17 @@ def render_verify_csv(report: dict) -> str:
     return _csv_text(("operation", "max_deviation"), rows)
 
 
-def render_sweep_text(report: dict, wall_time: float) -> str:
+def render_sweep_csv(report: dict) -> str:
+    return _csv_text(SWEEP_COLUMNS, _in_columns(SWEEP_COLUMNS, report["rows"]))
+
+
+def render_sweep_text(report: dict) -> str:
     lines = [
         f"sweep m={report['m']} g={report['g']} upper_target={report['upper_target']} "
-        f"seed={report['seed']} shots_per_trial={report['shots_per_trial']}"
+        f"seed={report['seed']} shots_per_trial={report['shots_per_trial']}",
+        *_table(SWEEP_COLUMNS, report["rows"]),
+        f"all_verified: {_cell(report['all_verified'])}",
     ]
-    table = [[_cell(row.get(c)) or "-" for c in SWEEP_COLUMNS] for row in report["rows"]]
-    widths = [
-        max(len(SWEEP_COLUMNS[i]), max(len(line[i]) for line in table))
-        for i in range(len(SWEEP_COLUMNS))
-    ]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines.append(fmt.format(*SWEEP_COLUMNS))
-    lines.extend(fmt.format(*line) for line in table)
-    lines.append(f"all_verified: {_cell(report['all_verified'])}")
-    lines.append(f"wall_time_s: {wall_time:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -377,7 +383,7 @@ def write_output(text: str, out: str | None) -> None:
     os.replace(temp_name, path)
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def parse_int_list(text: str, what: str) -> list[int]:
     """Accept '8', '4,8,16', or 'start:stop[:step]' with inclusive stop."""
     try:
         if ":" in text:
@@ -408,70 +414,31 @@ def _config_with_overrides(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[dict, int, str]:
     config = _config_with_overrides(args)
-    started = time.perf_counter()
-    artifact, exit_code = run_experiment(config)
-    wall_time = time.perf_counter() - started
-    if config.format == "json":
-        text = render_json(artifact)
-    elif config.format == "csv":
-        text = render_run_csv(artifact)
-    else:
-        text = render_run_text(artifact, wall_time)
-    write_output(text, args.out)
-    return exit_code
+    return (*run_experiment(config), config.format)
 
 
-def _cmd_cost(args) -> int:
-    ms = _parse_int_list(args.m_range, "--m-range")
-    vs = _parse_int_list(args.v_range, "--v-range")
+def _cmd_cost(args) -> tuple[dict, int, str]:
+    ms = parse_int_list(args.m_range, "--m-range")
+    vs = parse_int_list(args.v_range, "--v-range")
     if args.strategies.strip() == "all":
         strategies = list(STRATEGIES)
     else:
         strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    rows = cost_table(ms, vs, strategies)
-    if args.format == "json":
-        text = render_json({"columns": list(COST_COLUMNS), "rows": rows})
-    elif args.format == "csv":
-        text = _csv_text(COST_COLUMNS, _in_columns(COST_COLUMNS, rows))
-    else:
-        text = render_cost_text(rows)
-    write_output(text, args.out)
-    return 0
+    report = {"columns": list(COST_COLUMNS), "rows": cost_table(ms, vs, strategies)}
+    return report, EXIT_OK, args.format
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int, str]:
     config = load_config(resolve_config(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    started = time.perf_counter()
-    report, exit_code = run_verification(config)
-    wall_time = time.perf_counter() - started
-    if args.format == "json":
-        text = render_json(report)
-    elif args.format == "csv":
-        text = render_verify_csv(report)
-    else:
-        text = render_verify_text(report, wall_time)
-    write_output(text, args.out)
-    return exit_code
+    return (*run_verification(config), args.format)
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    report, exit_code = run_sweep(
-        m=args.m, g=args.g, shots_per_trial=args.shots, seed=args.seed
-    )
-    wall_time = time.perf_counter() - started
-    if args.format == "json":
-        text = render_json(report)
-    elif args.format == "csv":
-        text = _csv_text(SWEEP_COLUMNS, _in_columns(SWEEP_COLUMNS, report["rows"]))
-    else:
-        text = render_sweep_text(report, wall_time)
-    write_output(text, args.out)
-    return exit_code
+def _cmd_sweep(args) -> tuple[dict, int, str]:
+    return (*run_sweep(args.m, args.g, args.shots, args.seed), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,17 +488,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {"run": _cmd_run, "cost": _cmd_cost, "verify": _cmd_verify, "sweep": _cmd_sweep}
+# subcommand -> (report, exit code, format) builder, csv renderer, text renderer
+_COMMANDS = {
+    "run": (_cmd_run, render_run_csv, render_run_text),
+    "cost": (_cmd_cost, render_cost_csv, render_cost_text),
+    "verify": (_cmd_verify, render_verify_csv, render_verify_text),
+    "sweep": (_cmd_sweep, render_sweep_csv, render_sweep_text),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its report; text ends with the wall time."""
+    args = build_parser().parse_args(argv)
+    command, render_csv, render_text = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        started = time.perf_counter()
+        report, exit_code, output_format = command(args)
+        if output_format == "json":
+            text = render_json(report)
+        elif output_format == "csv":
+            text = render_csv(report)
+        else:
+            text = render_text(report) + f"wall_time_s: {time.perf_counter() - started:.4f}\n"
+        write_output(text, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ measures one, a builder for the strategy's artifact sections (histogram,
 trials, blocks, relabeling) and the key of its cost model.
 ``run_experiment`` assembles the artifact from that record;
 ``run_verification`` replays the same entry under the kernel cross-check
-and never builds the sections.
+and never builds the sections; ``run_sweep`` builds one iterative config
+per row and runs it through the same entry. ``ExperimentConfig.problem``
+is the one place a search problem is built.
 
 Reports are plain dicts of builtin types so they serialize byte-identically
 for a fixed config and seed. The one exception is a histogram, which
@@ -36,12 +38,7 @@ from .costs import (
 )
 from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, iteration_count
-from .oracles import (
-    ConcatenatedOracle,
-    ConjunctionOracle,
-    PartialCandidateSet,
-    int_to_bits,
-)
+from .oracles import ConjunctionOracle
 from .permutation import (
     PermutationSpec,
     apply_cnot_permutation,
@@ -62,10 +59,8 @@ from .statevector import (
 from .strategies import (
     SearchProblem,
     SearchResult,
-    block_distribution,
     disentangled_search,
     entangled_nested,
-    flag_excitation,
     iterative_search,
     measure_and_verify,
     product_subspace_search,
@@ -235,18 +230,19 @@ def _run_disentangled(
         )
 
     def sections() -> dict:
-        blocks = []
-        for k in range(1, problem.v + 1):
-            dist = block_distribution(problem, sv, k)
-            blocks.append(
-                {
-                    "index": k,
-                    "candidate": problem.candidates.strings()[k - 1],
-                    "target_probability": float(dist.get(problem.upper_target_bits, 0.0)),
-                    "flag_excitation": float(flag_excitation(problem, sv, k)),
-                    "distribution": {b: float(p) for b, p in sorted(dist.items())},
-                }
+        blocks = [
+            {
+                "index": k,
+                "candidate": candidate,
+                "target_probability": float(dist[problem.upper_target_bits]),
+                "flag_excitation": float(excitation),
+                "distribution": {b: float(p) for b, p in sorted(dist.items())},
+            }
+            for k, (candidate, dist, excitation) in enumerate(
+                zip(problem.candidates.strings(), outcome.distributions, outcome.flag_excitations),
+                start=1,
             )
+        ]
         return {
             "blocks": blocks,
             "winning_index": outcome.winning_index,
@@ -460,57 +456,70 @@ def run_verification(config: ExperimentConfig) -> tuple[dict, int]:
     return report, EXIT_OK if passed else EXIT_UNVERIFIED
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def _sweep_config(
+    m: int, g: int, value: int, shots_per_trial: int, seed: int
+) -> ExperimentConfig:
+    """The sweep row whose lower target is ``value``, its complement the decoy.
+
+    The upper target is 10...0. The bit-strings are built for any m and g,
+    so a bad split reaches the config's own checks.
+    """
+    target = format(value, "b").zfill(g)
+    return ExperimentConfig(
+        strategy="iterative",
+        m=m,
+        g=g,
+        upper_oracle=tuple(ConjunctionOracle.matching("1".ljust(m - g, "0")).signed_literals()),
+        lower_oracle=tuple(ConjunctionOracle.matching(target).signed_literals()),
+        candidates=(target.translate(_COMPLEMENT), target),
+        shots_per_trial=shots_per_trial,
+        seed=seed,
+    )
+
+
 def run_sweep(
     m: int = 5, g: int = 3, shots_per_trial: int = 256, seed: int = 0
 ) -> tuple[dict, int]:
     """Exercise the trial loop over every placement of the lower target.
 
-    Each placement pairs the target with its bitwise complement as a decoy
-    listed first, so half the probes start on a wrong candidate. Every run
-    must verify within the oracle budget v * (r_L + r_U + 1).
+    Each placement is an iterative config that pairs the target with its
+    bitwise complement as a decoy listed first, so half the probes start on
+    a wrong candidate, and runs through ``STRATEGY_RUNS`` like ``run`` and
+    ``verify``. Every run must verify within the oracle budget
+    v * (r_L + r_U + 1). The first row's config checks m, g, the shots and
+    the seed before any row runs.
     """
-    if not 1 <= g < m:
-        raise ConfigurationError(f"need 1 <= g < m, got g={g}, m={m}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    upper_bits = "1" + "0" * (m - g - 1)
-    r_lower = iteration_count(2**g, 1)
-    r_upper = iteration_count(2 ** (m - g), 1)
-    budget = 2 * (r_lower + r_upper + 1)
+    _sweep_config(m, g, 0, shots_per_trial, seed)
+    budget = 2 * (iteration_count(2**g, 1) + iteration_count(2 ** (m - g), 1) + 1)
     rows = []
     all_ok = True
     for value in range(2**g):
-        target = int_to_bits(value, g)
-        decoy = int_to_bits(value ^ (2**g - 1), g)
-        problem = SearchProblem(
-            global_oracle=ConcatenatedOracle(
-                upper=ConjunctionOracle.matching(upper_bits),
-                lower=ConjunctionOracle.matching(target),
-            ),
-            candidates=PartialCandidateSet.from_strings([decoy, target]),
-        )
+        config = _sweep_config(m, g, value, shots_per_trial, seed)
+        problem = config.problem()
         counter = QueryCounter()
-        result = iterative_search(
-            problem, shots_per_trial=shots_per_trial, seed=seed, counter=counter
-        ).result
+        run = STRATEGY_RUNS["iterative"](config, problem, counter)
+        decoy, target = config.candidates
         within = counter.oracle_calls <= budget
         rows.append(
             {
                 "lower_target": target,
                 "decoy": decoy,
-                "found": result.found,
-                "verified": bool(result.verified),
-                "trials": int(result.trials),
+                "found": run.result.found,
+                "verified": bool(run.verified),
+                "trials": int(run.result.trials),
                 "oracle_calls": int(counter.oracle_calls),
                 "budget": int(budget),
                 "within_budget": bool(within),
             }
         )
-        all_ok = all_ok and result.verified and within
+        all_ok = all_ok and run.verified and within
     report = {
         "m": int(m),
         "g": int(g),
-        "upper_target": upper_bits,
+        "upper_target": problem.upper_target_bits,
         "shots_per_trial": int(shots_per_trial),
         "seed": int(seed),
         "endianness": "little",

@@ -325,8 +325,16 @@ class CompositeLayout:
 
 
 class DisentangledOutcome(NamedTuple):
+    """The scored composite state and its per-block read-out.
+
+    ``distributions[k - 1]`` is block k's exact marginal and
+    ``flag_excitations[k - 1]`` the probability that flag k stayed at 1.
+    """
+
     winning_index: int | None
     state: Statevector
+    distributions: tuple[dict[str, float], ...]
+    flag_excitations: tuple[float, ...]
 
 
 def disentangled_layout(problem: SearchProblem) -> CompositeLayout:
@@ -381,9 +389,10 @@ def disentangled_search(
     rounds run on one writable register that every kernel call updates in
     place and norm-checks, frozen into the returned state.
 
-    The winner is the unique block whose exact marginal puts more than
-    DECISION_THRESHOLD on the upper target; None when no such block exists
-    (the upper target is absent or ambiguous).
+    Each block's marginal and flag excitation is read once and returned
+    with the state. The winner is the unique block whose marginal puts
+    more than DECISION_THRESHOLD on the upper target; None when no such
+    block exists (the upper target is absent or ambiguous).
     """
     if problem.v < 2:
         raise PreconditionError("block scoring needs at least two candidates")
@@ -412,19 +421,17 @@ def disentangled_search(
                 counter.count_diffusion()
     sv = sv.freeze()
 
-    for k in range(1, problem.v + 1):
-        leak = flag_excitation(problem, sv, k)
+    blocks = range(1, problem.v + 1)
+    excitations = tuple(flag_excitation(problem, sv, k) for k in blocks)
+    for k, leak in zip(blocks, excitations):
         if leak > 1e-9:
             raise ValidationError(f"flag {k} retains probability {leak} after uncompute")
 
-    target = problem.upper_target
-    above = [
-        k
-        for k in range(1, problem.v + 1)
-        if marginal_probability(sv, layout.block(k), target) > DECISION_THRESHOLD
-    ]
+    distributions = tuple(block_distribution(problem, sv, k) for k in blocks)
+    target = problem.upper_target_bits
+    above = [k for k in blocks if distributions[k - 1][target] > DECISION_THRESHOLD]
     winning = above[0] if len(above) == 1 else None
-    return DisentangledOutcome(winning_index=winning, state=sv)
+    return DisentangledOutcome(winning, sv, distributions, excitations)
 
 
 def recover_candidate(

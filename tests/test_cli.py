@@ -159,7 +159,7 @@ class TestRun:
         support = sorted(rng.sample(range(64), 32))
         counts = [rng.randrange(100) for _ in support]
         artifact["histogram"] = Histogram(6, support, counts, levels)
-        lines = render_run_text(artifact, 0.0).splitlines()
+        lines = render_run_text(artifact).splitlines()
         start = lines.index("histogram (top 10 by probability):") + 1
         labels = [format(i, "06b") for i in support]
         ranked = sorted(zip(labels, counts, levels), key=lambda row: (-row[2], row[0]))
@@ -393,9 +393,43 @@ class TestSweep:
         run_cli("sweep", "--seed", "7", "--format", "json", "--out", str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_bad_split_exits_one(self, capsys):
-        assert run_cli("sweep", "--m", "3", "--g", "3") == EXIT_CONFIG_ERROR
-        assert "1 <= g < m" in capsys.readouterr().err
+    def test_every_row_runs_through_the_strategy_registry(self, monkeypatch, capsys):
+        rows = []
+        real = runmod.STRATEGY_RUNS["iterative"]
+
+        def recording(config, problem, counter):
+            rows.append(config.candidates)
+            return real(config, problem, counter)
+
+        monkeypatch.setitem(runmod.STRATEGY_RUNS, "iterative", recording)
+        assert run_cli("sweep", "--m", "4", "--g", "2", "--format", "json") == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert rows == [(row["decoy"], row["lower_target"]) for row in report["rows"]]
+        assert rows == [("11", "00"), ("10", "01"), ("01", "10"), ("00", "11")]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m", "3", "--g", "3"), "need 1 <= g < m, got g=3, m=3"),
+            (("--g", "0"), "need 1 <= g < m, got g=0, m=5"),
+            (("--g", "-1"), "need 1 <= g < m, got g=-1, m=5"),
+            (("--m", "21", "--g", "10"), "m=21 exceeds the 20-qubit limit"),
+            (("--shots", "0"), "shots_per_trial must be at least 1, got 0"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+    )
+    def test_bad_input_exits_one_before_any_row_runs(self, argv, message, monkeypatch, capsys):
+        calls = []
+        real = runmod.iterative_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runmod, "iterative_search", counted)
+        assert run_cli("sweep", *argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
 
 
 # quote, backslash, control characters, U+2028, non-ASCII in and beyond the BMP

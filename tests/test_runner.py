@@ -10,6 +10,7 @@ import pytest
 
 import qtreesearch.permutation as permmod
 import qtreesearch.runner as runmod
+import qtreesearch.statevector as svmod
 import qtreesearch.strategies as stratmod
 from qtreesearch.cli import render_json
 from qtreesearch.config import STRATEGY_CHOICES, config_from_mapping, load_config, resolve_config
@@ -75,6 +76,16 @@ def test_iterative_run_simulates_each_trial_once(monkeypatch):
     artifact, _ = run_experiment(config)
     assert len(artifact["trials"]) == config.v
     assert len(calls) == config.v
+
+
+def test_disentangled_run_reads_each_block_and_flag_once(monkeypatch):
+    # one marginal per block and one per flag, shared by the winner test and
+    # the artifact's blocks section
+    calls = _count_calls(monkeypatch, "marginal_distribution", [svmod, stratmod])
+    config = load_config(resolve_config("fig_a_basic_10"))
+    artifact, _ = run_experiment(config)
+    assert len(artifact["blocks"]) == config.v
+    assert len(calls) == 2 * config.v
 
 
 def test_permutation_run_builds_the_relabeling_once(monkeypatch):

@@ -1,9 +1,15 @@
-"""The scripts under scripts/ run end to end and write what the CLI writes."""
+"""The scripts under scripts/ run end to end, write what the CLI writes, and
+fail on bad input the way the CLI does."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from qtreesearch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,7 +33,38 @@ def test_run_figures_writes_the_golden_artifacts(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_cost_tables_csv():
+def test_cost_tables_csv(capsys):
     done = run_script("cost_tables.py", "--format", "csv")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "strategy,m,g,v,total,valid,margin,times_ratio"
+    main(["cost", "--m-range", "8,12,16,20,24", "--v-range", "2,4", "--format", "csv"])
+    assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cost_tables.py", "--m", "x"), "cannot parse --m 'x'"),
+        (("cost_tables.py", "--m", "1024"), "m=1024 (with --v-range v=2)"),
+        (("run_figures.py", "--seed", "-1"), "seed must be non-negative, got -1"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_bad_input_exits_one_with_one_error_line(argv, message, tmp_path):
+    if argv[0] == "run_figures.py":
+        argv += ("--out-dir", str(tmp_path))
+    done = run_script(*argv)
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_scripts_import_no_private_name(script):
+    tree = ast.parse((ROOT / "scripts" / script).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("qtreesearch")
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]

@@ -227,10 +227,10 @@ class TestDisentangledSearch:
     def test_matching_block_wins(self):
         problem = six_qubit_problem()
         counter = QueryCounter()
-        winning, state = disentangled_search(problem, counter)
-        assert winning == 1
-        dist1 = block_distribution(problem, state, 1)
-        dist2 = block_distribution(problem, state, 2)
+        outcome = disentangled_search(problem, counter)
+        assert outcome.winning_index == 1
+        dist1 = block_distribution(problem, outcome.state, 1)
+        dist2 = block_distribution(problem, outcome.state, 2)
         assert dist1["001"] == pytest.approx(TWO_ROUND_EIGHT)
         for pattern, p in dist2.items():
             assert p == pytest.approx(0.125, abs=1e-12)
@@ -250,35 +250,35 @@ class TestDisentangledSearch:
             return state
 
         monkeypatch.setattr(strategies, "run_grover", recording)
-        _, state = disentangled_search(six_qubit_problem())
+        state = disentangled_search(six_qubit_problem()).state
         [(start, before)] = prepared
         assert start.amplitudes.tobytes() == before
         assert not np.shares_memory(state.amplitudes, start.amplitudes)
 
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()
-        _, state = disentangled_search(problem)
+        state = disentangled_search(problem).state
         assert flag_excitation(problem, state, 1) == pytest.approx(0.0, abs=1e-12)
         assert flag_excitation(problem, state, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_candidate_register_stays_product(self):
         problem = six_qubit_problem()
-        _, state = disentangled_search(problem)
+        state = disentangled_search(problem).state
         layout = disentangled_layout(problem)
         assert partition_purity(state, layout.lower) == pytest.approx(1.0, abs=1e-9)
         assert partition_purity(state, layout.block(1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_null_case_spreads_every_block(self):
         problem = six_qubit_problem(candidate_strings=("101", "110"))
-        winning, state = disentangled_search(problem)
-        assert winning is None
+        outcome = disentangled_search(problem)
+        assert outcome.winning_index is None
         for k in (1, 2):
-            for p in block_distribution(problem, state, k).values():
+            for p in block_distribution(problem, outcome.state, k).values():
                 assert p == pytest.approx(0.125, abs=1e-12)
 
     def test_threshold_separates_cleanly(self):
         problem = six_qubit_problem()
-        _, state = disentangled_search(problem)
+        state = disentangled_search(problem).state
         dist1 = block_distribution(problem, state, 1)
         dist2 = block_distribution(problem, state, 2)
         assert dist1["001"] > DECISION_THRESHOLD
