@@ -40,6 +40,12 @@ def test_cost_tables_csv(capsys):
     assert done.stdout == capsys.readouterr().out
 
 
+def test_cost_tables_text_matches_golden():
+    done = run_script("cost_tables.py")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "cli" / "cost_tables.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
