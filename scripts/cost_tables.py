@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from qtreesearch.cli import parse_int_list, render_cost_csv, render_cost_text, write_output
-from qtreesearch.costs import STRATEGIES, times_ratio, times_ratio_limit
-from qtreesearch.runner import EXIT_CONFIG_ERROR, cost_table
+from qtreesearch.costs import STRATEGIES, cost_table, times_ratio, times_ratio_limit
+from qtreesearch.runner import EXIT_CONFIG_ERROR
 
 
 def tables(ms: list[int], vs: list[int], output_format: str) -> str:
@@ -45,6 +45,9 @@ def main() -> int:
         write_output(tables(ms, vs, args.format), args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OverflowError as exc:
+        print(f"error: --m/--v: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return 0
 

@@ -21,13 +21,9 @@ from .config import (
     resolve_config,
 )
 from .costs import (
-    CostBreakdown,
-    ValidityReport,
-    baseline_cost,
-    candidate_budget_validity,
-    cost_breakdown,
-    disentangled_cost,
-    iterative_cost,
+    Cost,
+    cost,
+    cost_table,
     times_ratio,
     times_ratio_limit,
     v_max,
@@ -55,7 +51,7 @@ from .permutation import (
     build_permutation,
     compacted_search_state,
 )
-from .runner import cost_table, run_experiment, run_sweep, run_verification
+from .runner import run_experiment, run_sweep, run_verification
 from .statevector import (
     KernelCrossCheck,
     QubitSet,

@@ -37,13 +37,12 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .costs import STRATEGIES
+from .costs import STRATEGIES, cost_table
 from .errors import ConfigurationError
 from .runner import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     Histogram,
-    cost_table,
     run_experiment,
     run_sweep,
     run_verification,
@@ -426,8 +425,11 @@ def _cmd_cost(args) -> tuple[dict, int, str]:
         strategies = list(STRATEGIES)
     else:
         strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    report = {"columns": list(COST_COLUMNS), "rows": cost_table(ms, vs, strategies)}
-    return report, EXIT_OK, args.format
+    try:
+        rows = cost_table(ms, vs, strategies)
+    except OverflowError as exc:
+        raise ConfigurationError(f"--m-range/--v-range: {exc}") from exc
+    return {"columns": list(COST_COLUMNS), "rows": rows}, EXIT_OK, args.format
 
 
 def _cmd_verify(args) -> tuple[dict, int, str]:

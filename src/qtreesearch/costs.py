@@ -4,12 +4,14 @@ Costs are oracle-call counts with the pi/4 prefactor dropped, so a flat
 search over n states costs sqrt(n). The iterative, disentangled, and
 permutation formulas assume the even split g = m/2, which makes 2**(m/4)
 the cost of searching one half-register.
+
+``cost`` is the one statement of each strategy's addends and of the rule
+its budget is judged by; the run artifact and ``cost_table`` both read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError
@@ -23,6 +25,9 @@ STRATEGIES = (
     "permutation-grover-prep",
 )
 
+# strategies that beat the flat search only while v stays under v_max(m)
+BUDGETED = ("iterative", "disentangled", "permutation-basis-prep", "permutation-grover-prep")
+
 
 def _check_register(m: int) -> None:
     if m < 1:
@@ -34,54 +39,79 @@ def _check_candidates(v: int) -> None:
         raise ConfigurationError(f"candidate count must be >= 1, got {v}")
 
 
-def baseline_cost(m: int, k: int = 1) -> float:
-    """Flat search over the whole register: sqrt(2**m / k)."""
+def v_max(m: int) -> float:
+    """Candidate budget below which one-by-one trials beat the flat search.
+
+    The iterative total v * (2 * 2**(m/4) + 1) equals the flat sqrt(2**m)
+    at this v; for large m it approaches 2**(m/4).
+    """
     _check_register(m)
-    if k < 1:
-        raise ConfigurationError(f"marked count must be >= 1, got {k}")
-    return math.sqrt(2**m / k)
+    return 2 ** (m / 2) / (2 * 2 ** (m / 4) + 1)
 
 
-def iterative_cost(m: int, v: int) -> float:
-    """Try candidates one by one: v trials of lower + upper + one check."""
-    _check_register(m)
-    _check_candidates(v)
-    return v * (2 * 2 ** (m / 4) + 1)
+class Cost(NamedTuple):
+    """One strategy's total, its labeled addends and its budget margin.
+
+    ``margin`` is positive when the strategy's budget rule holds: v_max - v
+    for the ``BUDGETED`` strategies, the flat search minus the total for
+    decomposition-ideal, and None for the flat search itself.
+    """
+
+    total: float
+    terms: dict[str, float]
+    margin: float | None
 
 
-class VMax(NamedTuple):
-    exact: float
-    approx: float
+def cost(strategy: str, m: int, g: int, v: int) -> Cost:
+    """Labeled addends, total and budget margin of a strategy at (m, g, v).
 
-
-def v_max(m: int) -> VMax:
-    """Candidate budget below which one-by-one trials beat the flat search."""
-    _check_register(m)
-    return VMax(
-        exact=2 ** (m / 2) / (2 * 2 ** (m / 4) + 1),
-        approx=2 ** (m / 4),
-    )
-
-
-def disentangled_cost(m: int, v: int) -> float:
-    """Superpose v candidates, score each block once, recover the winner.
-
-    Three phases in 2**(m/4) units: preparing the v-candidate lower
-    superposition (1/sqrt(v)), one bound upper search per block (v), and a
-    fresh lower search for the winning candidate (1).
+    Only decomposition-ideal reads the split g; the other strategies
+    assume g = m/2.
     """
     _check_register(m)
     _check_candidates(v)
-    return 2 ** (m / 4) * (1 / math.sqrt(v) + 1 + v)
+    unit = 2 ** (m / 4)
+    if strategy == "baseline":
+        terms = {"search": math.sqrt(2**m)}
+    elif strategy == "decomposition-ideal":
+        terms = {"lower_search": math.sqrt(2**g), "upper_search": math.sqrt(2 ** (m - g))}
+    elif strategy == "iterative":
+        # v trials of lower + upper search, each closed by one classical check
+        terms = {"lower_trials": v * unit, "upper_trials": v * unit, "verifications": float(v)}
+    elif strategy == "disentangled":
+        # prepare the v-candidate superposition, search every block once,
+        # then search the winning candidate afresh
+        terms = {
+            "candidate_prep": unit / math.sqrt(v),
+            "block_searches": v * unit,
+            "candidate_recovery": unit,
+        }
+    elif strategy == "permutation-basis-prep":
+        terms = {"preparation": float(v), "compacted_search": unit * math.sqrt(v)}
+    elif strategy == "permutation-grover-prep":
+        terms = {"preparation": unit / math.sqrt(v), "compacted_search": unit * math.sqrt(v)}
+    else:
+        raise ConfigurationError(f"unknown strategy {strategy!r}")
+    total = sum(terms.values())
+    if strategy in BUDGETED:
+        margin = v_max(m) - v
+    elif strategy == "decomposition-ideal":
+        margin = math.sqrt(2**m) - total
+    else:
+        margin = None
+    return Cost(total, terms, margin)
 
 
 def times_ratio(m: int, v: int = 4) -> float:
-    """iterative_cost over disentangled_cost at the same v.
+    """Iterative over disentangled cost at the same v.
 
     Decreases toward 2*v / (1/sqrt(v) + 1 + v) as the register grows; the
     verification "+1" per trial keeps small registers above that limit.
     """
-    return iterative_cost(m, v) / disentangled_cost(m, v)
+    _check_register(m)
+    _check_candidates(v)
+    unit = 2 ** (m / 4)
+    return v * (2 * unit + 1) / (unit * (1 / math.sqrt(v) + 1 + v))
 
 
 def times_ratio_limit(v: int = 4) -> float:
@@ -89,96 +119,46 @@ def times_ratio_limit(v: int = 4) -> float:
     return 2 * v / (1 / math.sqrt(v) + 1 + v)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """One strategy's total with its labeled addends."""
+def cost_table(ms, vs, strategies) -> list[dict]:
+    """One row per (m, v, strategy), with g = m // 2.
 
-    strategy: str
-    m: int
-    g: int | None
-    v: int | None
-    total: float
-    terms: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        if any(t < 0 for t in self.terms.values()):
-            raise ConfigurationError("cost terms must be nonnegative")
-        if abs(self.total - sum(self.terms.values())) > 1e-9:
-            raise ConfigurationError("total does not match the sum of terms")
-
-
-def cost_breakdown(
-    strategy: str, m: int, g: int | None = None, v: int | None = None, k: int = 1
-) -> CostBreakdown:
-    """Assemble the labeled addends behind each strategy's total."""
-    _check_register(m)
-    unit = 2 ** (m / 4)
-    if strategy == "baseline":
-        terms = {"search": baseline_cost(m, k)}
-    elif strategy == "decomposition-ideal":
-        if g is None:
-            raise ConfigurationError("decomposition needs a split g")
-        terms = {
-            "lower_search": math.sqrt(2**g),
-            "upper_search": math.sqrt(2 ** (m - g)),
-        }
-    elif strategy == "iterative":
-        if v is None:
-            raise ConfigurationError("iterative needs a candidate count v")
-        _check_candidates(v)
-        terms = {
-            "lower_trials": v * unit,
-            "upper_trials": v * unit,
-            "verifications": float(v),
-        }
-    elif strategy == "disentangled":
-        if v is None:
-            raise ConfigurationError("disentangled needs a candidate count v")
-        _check_candidates(v)
-        terms = {
-            "candidate_prep": unit / math.sqrt(v),
-            "block_searches": v * unit,
-            "candidate_recovery": unit,
-        }
-    elif strategy == "permutation-basis-prep":
-        if v is None:
-            raise ConfigurationError("permutation needs a candidate count v")
-        _check_candidates(v)
-        terms = {"preparation": float(v), "compacted_search": unit * math.sqrt(v)}
-    elif strategy == "permutation-grover-prep":
-        if v is None:
-            raise ConfigurationError("permutation needs a candidate count v")
-        _check_candidates(v)
-        terms = {
-            "preparation": unit / math.sqrt(v),
-            "compacted_search": unit * math.sqrt(v),
-        }
-    else:
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    return CostBreakdown(
-        strategy=strategy, m=m, g=g, v=v, total=sum(terms.values()), terms=terms
-    )
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """A named constraint with its boolean outcome and signed margin."""
-
-    constraint: str
-    holds: bool
-    margin: float
-
-    def __post_init__(self) -> None:
-        if self.holds != (self.margin > 0):
-            raise ConfigurationError("holds must equal margin > 0")
-
-
-def candidate_budget_validity(m: int, v: int) -> ValidityReport:
-    """Whether v stays under the break-even budget for iterative search."""
-    _check_candidates(v)
-    margin = v_max(m).exact - v
-    return ValidityReport(
-        constraint="v < v_max", holds=margin > 0, margin=margin
-    )
+    A row is valid when its margin is positive or it has none. An (m, v)
+    at which a total, margin or ratio overflows a float raises
+    OverflowError naming that m, v and strategy; the caller knows which of
+    its inputs gave them.
+    """
+    ms, vs, strategies = list(ms), list(vs), list(strategies)
+    if not ms or not vs or not strategies:
+        raise ConfigurationError("cost table needs non-empty m, v, and strategy lists")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ConfigurationError(f"unknown strategies {unknown}, pick from {STRATEGIES}")
+    rows = []
+    for m in ms:
+        for v in vs:
+            for strategy in strategies:
+                try:
+                    total, _, margin = cost(strategy, m, m // 2, v)
+                    ratio = times_ratio(m, v) if strategy == "disentangled" else None
+                    finite = all(
+                        math.isfinite(x) for x in (total, margin, ratio) if x is not None
+                    )
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise OverflowError(
+                        f"m={m} (with v={v}) makes the {strategy} cost overflow a float"
+                    )
+                rows.append(
+                    {
+                        "strategy": strategy,
+                        "m": m,
+                        "g": m // 2,
+                        "v": v,
+                        "total": total,
+                        "valid": margin is None or margin > 0,
+                        "margin": margin,
+                        "times_ratio": ratio,
+                    }
+                )
+    return rows

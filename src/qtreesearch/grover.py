@@ -27,15 +27,11 @@ class QueryCounter:
     oracle_calls: int = 0
     diffusion_calls: int = 0
 
-    def count_oracle(self, calls: int = 1) -> None:
-        if calls < 0:
-            raise ConfigurationError("query count cannot decrease")
-        self.oracle_calls += calls
+    def count_oracle(self) -> None:
+        self.oracle_calls += 1
 
-    def count_diffusion(self, calls: int = 1) -> None:
-        if calls < 0:
-            raise ConfigurationError("query count cannot decrease")
-        self.diffusion_calls += calls
+    def count_diffusion(self) -> None:
+        self.diffusion_calls += 1
 
     @property
     def total(self) -> int:

@@ -65,9 +65,7 @@ def candidate_code(k: int, code_width: int, width: int, convention: str) -> int:
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def build_permutation(
-    h_paths, width: int | None = None, convention: str = "standard"
-) -> PermutationSpec:
+def build_permutation(h_paths, convention: str = "standard") -> PermutationSpec:
     """Relabeling that sends the k-th path string to the k-th code word.
 
     Built as a sequence of pattern swaps: at each step the candidate's
@@ -81,12 +79,7 @@ def build_permutation(
     widths = {len(p) for p in paths}
     if len(widths) != 1:
         raise ConfigurationError(f"path strings must share one width, got {widths}")
-    inferred = widths.pop()
-    if width is not None and width != inferred:
-        raise ConfigurationError(
-            f"declared width {width} does not match path strings of width {inferred}"
-        )
-    width = inferred
+    width = widths.pop()
     values = [bits_to_int(p) for p in paths]
     if len(set(values)) != len(values):
         raise ValidationError(f"duplicate path strings: {paths}")

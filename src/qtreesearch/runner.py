@@ -29,13 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ExperimentConfig
-from .costs import (
-    STRATEGIES,
-    baseline_cost,
-    candidate_budget_validity,
-    cost_breakdown,
-    times_ratio,
-)
+from .costs import BUDGETED, cost
 from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, iteration_count
 from .oracles import ConjunctionOracle
@@ -72,8 +66,6 @@ EXIT_CONFIG_ERROR = 1
 EXIT_UNVERIFIED = 2
 
 CROSSCHECK_TOLERANCE = 1e-10
-
-_BUDGETED = ("iterative", "disentangled", "permutation-basis-prep", "permutation-grover-prep")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,21 +322,20 @@ def _result_section(result: SearchResult) -> dict:
 
 
 def _cost_section(config: ExperimentConfig, name: str) -> dict:
-    breakdown = cost_breakdown(name, config.m, g=config.g, v=config.v)
+    total, terms, margin = cost(name, config.m, config.g, config.v)
     section = {
         "strategy": name,
         "m": int(config.m),
         "g": int(config.g),
         "v": int(config.v),
-        "total": float(breakdown.total),
-        "terms": {label: float(value) for label, value in breakdown.terms.items()},
+        "total": float(total),
+        "terms": {label: float(value) for label, value in terms.items()},
     }
-    if name in _BUDGETED:
-        validity = candidate_budget_validity(config.m, config.v)
+    if name in BUDGETED:
         section["validity"] = {
-            "constraint": validity.constraint,
-            "holds": bool(validity.holds),
-            "margin": float(validity.margin),
+            "constraint": "v < v_max",
+            "holds": bool(margin > 0),
+            "margin": float(margin),
         }
     return section
 
@@ -527,61 +518,3 @@ def run_sweep(
         "all_verified": bool(all_ok),
     }
     return report, EXIT_OK if all_ok else EXIT_UNVERIFIED
-
-
-def cost_table(ms, vs, strategies) -> list[dict]:
-    """One row per (m, v, strategy) with totals and validity annotations.
-
-    An (m, v) at which any cost term overflows a float or is not finite
-    raises ConfigurationError naming ``--m-range``, that m and the v.
-    """
-    ms, vs = list(ms), list(vs)
-    strategies = list(strategies)
-    if not ms or not vs or not strategies:
-        raise ConfigurationError("cost table needs non-empty m, v, and strategy lists")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise ConfigurationError(f"unknown strategies {unknown}, pick from {STRATEGIES}")
-    rows = []
-    for m in ms:
-        for v in vs:
-            for strategy in strategies:
-                try:
-                    row = _cost_row(strategy, m, v)
-                    finite = all(
-                        math.isfinite(x) for x in row.values() if isinstance(x, float)
-                    )
-                except OverflowError:
-                    finite = False
-                if not finite:
-                    raise ConfigurationError(
-                        f"--m-range: m={m} (with --v-range v={v}) makes the {strategy} "
-                        "cost overflow a float"
-                    )
-                rows.append(row)
-    return rows
-
-
-def _cost_row(strategy: str, m: int, v: int) -> dict:
-    g = m // 2
-    breakdown = cost_breakdown(strategy, m, g=g, v=v)
-    row: dict = {
-        "strategy": strategy,
-        "m": int(m),
-        "g": int(g),
-        "v": int(v),
-        "total": float(breakdown.total),
-    }
-    if strategy in _BUDGETED:
-        validity = candidate_budget_validity(m, v)
-        row["valid"] = bool(validity.holds)
-        row["margin"] = float(validity.margin)
-    elif strategy == "decomposition-ideal":
-        margin = baseline_cost(m) - breakdown.total
-        row["valid"] = bool(margin > 0)
-        row["margin"] = float(margin)
-    else:
-        row["valid"] = True
-        row["margin"] = None
-    row["times_ratio"] = float(times_ratio(m, v)) if strategy == "disentangled" else None
-    return row

@@ -116,9 +116,6 @@ class Statevector:
     def dim(self) -> int:
         return 2**self.num_qubits
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _check_norm(amps: np.ndarray) -> None:
     norm = math.sqrt(np.vdot(amps, amps).real)

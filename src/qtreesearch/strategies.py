@@ -112,10 +112,6 @@ class SearchProblem:
     def lower_solution(self) -> int:
         return self.global_oracle.lower.marked_state
 
-    @property
-    def lower_solution_bits(self) -> str:
-        return int_to_bits(self.lower_solution, self.g)
-
     def matching_candidate_index(self) -> int | None:
         """1-based index of the candidate equal to the oracle's lower string."""
         return self.candidates.index_of(self.lower_solution)

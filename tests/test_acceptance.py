@@ -12,14 +12,7 @@ import numpy as np
 
 from qtreesearch.cli import render_json, render_run_csv
 from qtreesearch.config import bundled_configs, load_config
-from qtreesearch.costs import (
-    baseline_cost,
-    cost_breakdown,
-    iterative_cost,
-    times_ratio,
-    times_ratio_limit,
-    v_max,
-)
+from qtreesearch.costs import cost, times_ratio, times_ratio_limit, v_max
 from qtreesearch.grover import QueryCounter, iteration_count, run_grover, success_probability
 from qtreesearch.oracles import (
     ConcatenatedOracle,
@@ -305,7 +298,10 @@ def test_criterion_08_cost_model():
     )
 
     def staged(m, g):
-        return cost_breakdown("decomposition-ideal", m, g=g).total
+        return cost("decomposition-ideal", m, g, 1).total
+
+    def flat(m):
+        return cost("baseline", m, m // 2, 1).total
 
     split_ok = True
     for m in range(2, 25):
@@ -324,13 +320,13 @@ def test_criterion_08_cost_model():
 
     budget_ok = True
     for m in range(4, 21):
-        cap = math.floor(v_max(m).exact)
+        cap = math.floor(v_max(m))
         for v in range(1, cap + 1):
-            budget_ok = budget_ok and iterative_cost(m, v) < baseline_cost(m)
+            budget_ok = budget_ok and cost("iterative", m, m // 2, v).total < flat(m)
 
     # staging saves exactly when (a-1)(b-1) > 1, a = sqrt(2**g), b = sqrt(2**(m-g))
     saves_ok = all(
-        (staged(m, g) < baseline_cost(m) - 1e-9)
+        (staged(m, g) < flat(m) - 1e-9)
         == ((math.sqrt(2**g) - 1) * (math.sqrt(2 ** (m - g)) - 1) > 1 + 1e-9)
         for m in range(2, 31)
         for g in range(1, m)

@@ -236,6 +236,20 @@ class TestCost:
         assert "cannot parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m-range", "0"), "register width must be >= 1, got 0"),
+            # baseline rows never read v, yet v = 0 is still rejected
+            (("--v-range", "0", "--strategies", "baseline"), "candidate count must be >= 1, got 0"),
+            (("--m-range", ","), "cost table needs non-empty m, v, and strategy lists"),
+            (("--strategies", ","), "cost table needs non-empty m, v, and strategy lists"),
+        ],
+    )
+    def test_out_of_range_input_exits_one(self, argv, message, capsys):
+        assert run_cli("cost", *argv) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "m, strategies", [("1024", "all"), ("1024", "baseline"), ("4092", "iterative")]
     )
     def test_overflowing_register_exits_one(self, m, strategies, capsys):
@@ -247,7 +261,7 @@ class TestCost:
         )
         assert code == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
-        assert f"--m-range: m={m} (with --v-range v=1) makes the" in captured.err
+        assert f"--m-range/--v-range: m={m} (with v=1) makes the" in captured.err
         assert captured.out == ""
 
     def test_widest_finite_register_still_tabulates(self, capsys):

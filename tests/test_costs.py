@@ -7,12 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtreesearch.costs import (
-    CostBreakdown,
-    baseline_cost,
-    candidate_budget_validity,
-    cost_breakdown,
-    disentangled_cost,
-    iterative_cost,
+    BUDGETED,
+    STRATEGIES,
+    cost,
+    cost_table,
     times_ratio,
     times_ratio_limit,
     v_max,
@@ -20,19 +18,25 @@ from qtreesearch.costs import (
 from qtreesearch.errors import ConfigurationError
 
 
-class TestBaseline:
-    def test_values(self):
-        assert baseline_cost(4) == pytest.approx(4.0)
-        assert baseline_cost(10) == pytest.approx(32.0)
-        assert baseline_cost(10, k=4) == pytest.approx(16.0)
+def _total(strategy, m, v=1):
+    return cost(strategy, m, m // 2, v).total
 
-    def test_rejects_zero_marked(self):
-        with pytest.raises(ConfigurationError):
-            baseline_cost(4, k=0)
+
+def _flat(m):
+    return _total("baseline", m)
 
 
 def _staged(m, g):
-    return cost_breakdown("decomposition-ideal", m, g=g).total
+    return cost("decomposition-ideal", m, g, 1).total
+
+
+class TestBaseline:
+    def test_values(self):
+        assert _flat(4) == pytest.approx(4.0)
+        assert _flat(10) == pytest.approx(32.0)
+
+    def test_has_no_margin(self):
+        assert cost("baseline", 8, 4, 2).margin is None
 
 
 class TestDecomposition:
@@ -40,15 +44,15 @@ class TestDecomposition:
     # b = sqrt(2**(m-g)): staging saves exactly when (a-1)(b-1) > 1
     def test_even_split_saves(self):
         assert _staged(6, 3) == pytest.approx(2 * math.sqrt(8))
-        assert _staged(6, 3) < baseline_cost(6)
+        assert _staged(6, 3) < _flat(6)
 
     def test_tiny_registers_do_not_save(self):
-        assert _staged(2, 1) > baseline_cost(2)
-        assert _staged(3, 1) > baseline_cost(3)
+        assert _staged(2, 1) > _flat(2)
+        assert _staged(3, 1) > _flat(3)
 
     def test_boundary_case_is_not_a_save(self):
         # (2-1)*(2-1) = 1 exactly: staged cost equals the flat cost
-        assert _staged(4, 2) == pytest.approx(baseline_cost(4))
+        assert _staged(4, 2) == pytest.approx(_flat(4))
 
     def test_symmetry(self):
         for m in range(2, 16):
@@ -60,44 +64,50 @@ class TestDecomposition:
             best = min(range(1, m), key=lambda g: _staged(m, g))
             assert best in (math.floor(m / 2), math.ceil(m / 2))
 
+    def test_margin_is_the_saving_against_the_flat_search(self):
+        for m in range(2, 21):
+            for g in range(1, m):
+                staged = cost("decomposition-ideal", m, g, 1)
+                assert staged.margin == _flat(m) - staged.total
+
 
 class TestIterative:
     def test_values(self):
-        assert iterative_cost(4, 1) == pytest.approx(5.0)
-        assert iterative_cost(8, 3) == pytest.approx(27.0)
+        assert _total("iterative", 4, 1) == pytest.approx(5.0)
+        assert _total("iterative", 8, 3) == pytest.approx(27.0)
 
     def test_linear_in_candidates(self):
-        assert iterative_cost(12, 6) == pytest.approx(2 * iterative_cost(12, 3))
+        assert _total("iterative", 12, 6) == pytest.approx(2 * _total("iterative", 12, 3))
 
     def test_v_max(self):
-        exact, approx = v_max(8)
-        assert exact == pytest.approx(16 / 9)
-        assert approx == pytest.approx(4.0)
-        exact16, approx16 = v_max(16)
-        assert exact16 == pytest.approx(256 / 33)
-        assert approx16 == pytest.approx(16.0)
+        assert v_max(8) == pytest.approx(16 / 9)
+        assert v_max(16) == pytest.approx(256 / 33)
 
-    def test_exact_budget_below_approx(self):
+    def test_budget_below_its_large_register_limit(self):
         for m in range(1, 41):
-            assert v_max(m).exact < v_max(m).approx
+            assert v_max(m) < 2 ** (m / 4)
 
     def test_budget_keeps_iterative_below_baseline(self):
         for m in range(4, 21):
-            budget = math.floor(v_max(m).exact)
+            budget = math.floor(v_max(m))
             if budget >= 1:
-                assert iterative_cost(m, budget) < baseline_cost(m)
+                assert _total("iterative", m, budget) < _flat(m)
 
-    def test_validity_report(self):
-        report = candidate_budget_validity(8, 1)
-        assert report.holds and report.margin == pytest.approx(16 / 9 - 1)
-        bad = candidate_budget_validity(8, 4)
-        assert not bad.holds and bad.margin < 0
+    def test_margin_against_the_budget(self):
+        assert cost("iterative", 8, 4, 1).margin == pytest.approx(16 / 9 - 1)
+        assert cost("iterative", 8, 4, 4).margin < 0
+
+    @pytest.mark.parametrize("strategy", BUDGETED)
+    def test_every_budgeted_strategy_shares_the_margin(self, strategy):
+        for m in range(1, 30):
+            for v in (1, 2, 3, 5, 8):
+                assert cost(strategy, m, m // 2, v).margin == v_max(m) - v
 
 
 class TestDisentangled:
     def test_value(self):
-        assert disentangled_cost(8, 4) == pytest.approx(4 * (0.5 + 1 + 4))
-        assert disentangled_cost(8, 1) == pytest.approx(4 * 3)
+        assert _total("disentangled", 8, 4) == pytest.approx(4 * (0.5 + 1 + 4))
+        assert _total("disentangled", 8, 1) == pytest.approx(4 * 3)
 
     def test_ratio_descends_to_its_limit(self):
         assert times_ratio(16, 4) == pytest.approx(1.5)
@@ -110,22 +120,27 @@ class TestDisentangled:
             assert limit < cur < prev
             prev = cur
 
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=16))
+    def test_ratio_is_iterative_over_disentangled(self, m, v):
+        ratio = _total("iterative", m, v) / _total("disentangled", m, v)
+        assert times_ratio(m, v) == pytest.approx(ratio, rel=1e-12)
+
     @given(st.integers(min_value=8, max_value=64), st.integers(min_value=2, max_value=16))
     def test_beats_iterative_for_multiple_candidates(self, m, v):
         # 1/sqrt(v) + 1 < v for v >= 2, so the block pipeline wins
-        assert disentangled_cost(m, v) < iterative_cost(m, v)
+        assert _total("disentangled", m, v) < _total("iterative", m, v)
 
 
 class TestPermutation:
     def test_pinned_small_case(self):
-        assert cost_breakdown("permutation-grover-prep", 8, v=4).total == pytest.approx(10.0)
-        assert cost_breakdown("permutation-basis-prep", 8, v=4).total == pytest.approx(12.0)
+        assert _total("permutation-grover-prep", 8, 4) == pytest.approx(10.0)
+        assert _total("permutation-basis-prep", 8, 4) == pytest.approx(12.0)
 
     @given(st.integers(min_value=4, max_value=40), st.integers(min_value=2, max_value=64))
     def test_prep_variants_differ_only_in_preparation(self, m, v):
         unit = 2 ** (m / 4)
-        basis = cost_breakdown("permutation-basis-prep", m, v=v)
-        grover = cost_breakdown("permutation-grover-prep", m, v=v)
+        basis = cost("permutation-basis-prep", m, m // 2, v)
+        grover = cost("permutation-grover-prep", m, m // 2, v)
         assert basis.terms["compacted_search"] == grover.terms["compacted_search"]
         assert basis.total - grover.total == pytest.approx(v - unit / math.sqrt(v), abs=1e-9)
 
@@ -134,46 +149,77 @@ class TestOrdering:
     def test_chain_at_candidate_counts_near_register_width(self):
         for m in (8, 12, 16, 20):
             v = m
-            perm = cost_breakdown("permutation-grover-prep", m, v=v).total
-            dis = disentangled_cost(m, v)
-            it = iterative_cost(m, v)
+            perm = _total("permutation-grover-prep", m, v)
+            dis = _total("disentangled", m, v)
+            it = _total("iterative", m, v)
             assert perm <= dis <= it
             # the last link to baseline requires the candidate budget
-            report = candidate_budget_validity(m, v)
-            if report.holds:
-                assert it < baseline_cost(m)
+            if cost("iterative", m, m // 2, v).margin > 0:
+                assert it < _flat(m)
 
     @given(st.integers(min_value=2, max_value=30))
     def test_costs_grow_with_register(self, m):
-        assert baseline_cost(m + 1) > baseline_cost(m)
-        assert iterative_cost(m + 1, 3) > iterative_cost(m, 3)
-        assert disentangled_cost(m + 1, 3) > disentangled_cost(m, 3)
+        assert _flat(m + 1) > _flat(m)
+        assert _total("iterative", m + 1, 3) > _total("iterative", m, 3)
+        assert _total("disentangled", m + 1, 3) > _total("disentangled", m, 3)
 
 
-class TestBreakdown:
+class TestCost:
     def test_totals_match_components(self):
-        for strategy, kwargs, expected in [
-            ("baseline", {}, baseline_cost(8)),
-            ("decomposition-ideal", {"g": 4}, 8.0),
-            ("iterative", {"v": 4}, iterative_cost(8, 4)),
-            ("disentangled", {"v": 4}, disentangled_cost(8, 4)),
-            ("permutation-basis-prep", {"v": 4}, 12.0),
-            ("permutation-grover-prep", {"v": 4}, 10.0),
+        for strategy, expected in [
+            ("baseline", 16.0),
+            ("decomposition-ideal", 8.0),
+            ("iterative", 4 * (2 * 4 + 1)),
+            ("disentangled", 4 * (0.5 + 1 + 4)),
+            ("permutation-basis-prep", 12.0),
+            ("permutation-grover-prep", 10.0),
         ]:
-            row = cost_breakdown(strategy, 8, **kwargs)
+            row = cost(strategy, 8, 4, 4)
             assert row.total == pytest.approx(expected)
-            assert row.total == pytest.approx(sum(row.terms.values()))
-
-    def test_rejects_inconsistent_total(self):
-        with pytest.raises(ConfigurationError):
-            CostBreakdown(
-                strategy="baseline", m=4, g=None, v=None, total=5.0, terms={"search": 4.0}
-            )
+            assert row.total == sum(row.terms.values())
+            assert all(term >= 0 for term in row.terms.values())
 
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigurationError):
-            cost_breakdown("permutation-magic-prep", 8, v=4)
+        with pytest.raises(ConfigurationError, match="unknown strategy"):
+            cost("permutation-magic-prep", 8, 4, 4)
 
-    def test_rejects_missing_v(self):
-        with pytest.raises(ConfigurationError):
-            cost_breakdown("iterative", 8)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rejects_empty_register_and_no_candidates(self, strategy):
+        with pytest.raises(ConfigurationError, match="register width must be >= 1, got 0"):
+            cost(strategy, 0, 0, 1)
+        with pytest.raises(ConfigurationError, match="candidate count must be >= 1, got 0"):
+            cost(strategy, 8, 4, 0)
+
+
+class TestCostTable:
+    def test_rows_read_the_cost_model(self):
+        rows = cost_table([8, 16], [2, 4], STRATEGIES)
+        assert len(rows) == 2 * 2 * len(STRATEGIES)
+        for row in rows:
+            total, _, margin = cost(row["strategy"], row["m"], row["m"] // 2, row["v"])
+            assert (row["g"], row["total"], row["margin"]) == (row["m"] // 2, total, margin)
+            assert row["valid"] == (margin is None or margin > 0)
+            if row["strategy"] == "disentangled":
+                assert row["times_ratio"] == times_ratio(row["m"], row["v"])
+            else:
+                assert row["times_ratio"] is None
+
+    @pytest.mark.parametrize(
+        "ms, vs, strategies, message",
+        [
+            ([], [1], ["baseline"], "non-empty"),
+            ([8], [], ["baseline"], "non-empty"),
+            ([8], [1], [], "non-empty"),
+            ([8], [1], ["quantum-annealing"], "unknown strategies"),
+            ([0], [1], ["baseline"], "register width"),
+            ([8], [0], ["iterative"], "candidate count"),
+        ],
+    )
+    def test_rejects_bad_input(self, ms, vs, strategies, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cost_table(ms, vs, strategies)
+
+    def test_overflow_names_m_v_and_strategy_but_no_flag(self):
+        with pytest.raises(OverflowError) as caught:
+            cost_table([8, 1024], [2], ["iterative", "baseline"])
+        assert str(caught.value) == "m=1024 (with v=2) makes the baseline cost overflow a float"

@@ -114,11 +114,6 @@ class TestRunGrover:
         out = run_grover(sv, np.arange(8) == 0, qubit_range(0, 3), 0)
         assert np.allclose(out.amplitudes, sv.amplitudes)
 
-    def test_counter_rejects_negative(self):
-        counter = QueryCounter()
-        with pytest.raises(ConfigurationError):
-            counter.count_oracle(-1)
-
     def test_rotation_angle_range(self):
         assert rotation_angle(4, 4) == pytest.approx(math.pi / 2)
         assert rotation_angle(4, 1) == pytest.approx(math.pi / 6)

@@ -126,10 +126,6 @@ class TestBuildPermutation:
         with pytest.raises(ConfigurationError):
             build_permutation(["011", "0101"])
 
-    def test_declared_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_permutation(["011"], width=4)
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             build_permutation([])

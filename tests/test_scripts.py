@@ -50,7 +50,7 @@ def test_cost_tables_text_matches_golden():
     "argv, message",
     [
         (("cost_tables.py", "--m", "x"), "cannot parse --m 'x'"),
-        (("cost_tables.py", "--m", "1024"), "m=1024 (with --v-range v=2)"),
+        (("cost_tables.py", "--m", "1024"), "--m/--v: m=1024 (with v=2) makes the baseline cost"),
         (("run_figures.py", "--seed", "-1"), "seed must be non-negative, got -1"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,

@@ -57,7 +57,7 @@ class TestSearchProblem:
         assert (problem.m, problem.g, problem.v) == (5, 3, 2)
         assert problem.solution_bits == "10101"
         assert problem.upper_target_bits == "10"
-        assert problem.lower_solution_bits == "101"
+        assert problem.lower_solution == 0b101
         assert problem.matching_candidate_index() == 2
 
     def test_rejects_candidate_width_mismatch(self):
