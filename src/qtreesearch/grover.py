@@ -94,9 +94,9 @@ def amplify(
     amplitudes steer which patterns of the diffused qubits grow.
 
     The rounds run on one writable register: a copy of ``sv`` that every
-    kernel call updates in place and norm-checks, frozen into the returned
-    Statevector. ``sv`` itself is left untouched, and the result shares no
-    memory with it.
+    kernel call updates in place, norm-checked once per round after the
+    diffusion, and frozen into the returned Statevector. ``sv`` itself is
+    left untouched, and the result shares no memory with it.
     """
     if rounds < 0:
         raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
@@ -104,6 +104,7 @@ def amplify(
     for _ in range(rounds):
         sv = apply_phase_flip(sv, marked, flip_on)
         sv = apply_diffusion(sv, diffuse_on)
+        sv.check_norm()
         if counter is not None:
             counter.count_oracle()
             counter.count_diffusion()

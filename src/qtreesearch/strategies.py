@@ -383,7 +383,8 @@ def disentangled_search(
     blocks to the candidate register, so the state stays product across
     every block boundary and the flags return to 0 exactly. The block
     rounds run on one writable register that every kernel call updates in
-    place and norm-checks, frozen into the returned state.
+    place, norm-checked once per round after the diffusion, and frozen into
+    the returned state.
 
     Each block's marginal and flag excitation is read once and returned
     with the state. The winner is the unique block whose marginal puts
@@ -412,6 +413,7 @@ def disentangled_search(
             sv = apply_phase_flip(sv, flag_set, qubits(flag))
             sv = apply_conditional_bit_flip(sv, flag, bound, block)
             sv = apply_diffusion(sv, block)
+            sv.check_norm()
             if counter is not None:
                 counter.count_oracle()
                 counter.count_diffusion()

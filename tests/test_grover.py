@@ -156,9 +156,9 @@ class TestAmplifyLoop:
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch):
-        # the third flip's output is scaled, so the diffusion of that same
-        # round sees a non-unit register: the norm is checked per kernel
-        # call, not only when the loop freezes its register
+        # the third flip's output is scaled; the loop checks the register's
+        # norm once per round, after the diffusion, so the fault raises at
+        # the end of that same round, not when the loop freezes its register
         flips, diffusions = [], []
 
         def scaled_third_flip(sv, marked, on):

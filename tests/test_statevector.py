@@ -353,6 +353,40 @@ class TestMeasurement:
         dist = marginal_distribution(sv, qubits(0, 2))
         assert dist == pytest.approx([p[0] + p[2], p[1] + p[3], p[4] + p[6], p[5] + p[7]])
 
+
+@st.composite
+def purity_cases(draw):
+    """A state of 2 to 14 qubits and a cut of its lowest or highest
+    qubits, of a run between them, or of scattered qubits; the cut may be
+    wider than its complement. Half the states are a product across the
+    cut, whose purity is 1."""
+    n = draw(st.integers(2, 14))
+    k = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["lowest", "highest", "run", "scattered"]))
+    if kind == "lowest":
+        cut = range(k)
+    elif kind == "highest":
+        cut = range(n - k, n)
+    elif kind == "run":
+        start = draw(st.integers(0, n - k))
+        cut = range(start, start + k)
+    else:
+        cut = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)))
+    part = qubits(*cut)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if not draw(st.booleans()):
+        return random_state(n, seed), part
+    # a product of a state on the cut and one on the rest, each placed
+    # by its qubits' bits
+    inside, outside = random_state(len(part), seed), random_state(n - len(part), seed + 1)
+    rest = [q for q in range(n) if q not in part]
+    index = np.arange(2**n)
+    amps = inside.amplitudes[svmod._subpattern(index, part)] * outside.amplitudes[
+        svmod._subpattern(index, qubits(*rest))
+    ]
+    return Statevector(n, amps), part
+
+
 class TestPurity:
     def test_product_state_is_pure(self):
         sv = init_uniform(4)
@@ -378,6 +412,25 @@ class TestPurity:
             partition_purity(sv, qubits())
         with pytest.raises(ConfigurationError):
             partition_purity(sv, qubits(0, 1))
+
+    @given(purity_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_svd_and_gram_routes_agree(self, case):
+        sv, part = case
+        singular = np.linalg.svd(svmod._rows(sv, part.indices[::-1]), compute_uv=False)
+        assert svmod._gram_purity(sv, part) == pytest.approx(np.sum(singular**4), abs=1e-12)
+
+    @pytest.mark.parametrize("cut", [(0, 1, 2, 3, 4, 5), (3,), (0, 2, 5, 7, 11), tuple(range(4, 12))])
+    def test_svd_up_to_twelve_qubits_and_gram_above(self, cut):
+        assert svmod.PURITY_SVD_MAX_QUBITS == 12
+        narrow = random_state(12, len(cut))
+        singular = np.linalg.svd(svmod._rows(narrow, cut[::-1]), compute_uv=False)
+        assert partition_purity(narrow, cut) == float(np.sum(singular**4))
+        wide = random_state(13, len(cut))
+        assert partition_purity(wide, cut) == svmod._gram_purity(wide, qubits(*cut))
+        rows = svmod._rows(wide, cut)
+        rho = rows @ rows.conj().T
+        assert partition_purity(wide, cut) == pytest.approx(np.sum(np.abs(rho) ** 2), abs=1e-14)
 
 
 def _subpattern_by_loop(index, on):
@@ -594,6 +647,33 @@ class TestWritableRegister:
             assert in_place.records == functional.records, label
             assert in_place.max_deviation <= 1e-12, label
             assert sv.amplitudes.tobytes() == before, label
+
+    # each kernel, given a state whose norm is 1.01: its output is 1.01 too
+    NON_UNIT_OUTPUT = {
+        "phase_flip": lambda s: apply_phase_flip(s, ONE, qubits(0)),
+        "diffusion": lambda s: apply_diffusion(s, qubits(0, 2)),
+        "conditional_bit_flip": lambda s: apply_conditional_bit_flip(s, 1, ONE, qubits(0)),
+        "index_map": lambda s: apply_index_map(s, [1, 0], qubits(2)),
+    }
+
+    @pytest.mark.parametrize("label", sorted(NON_UNIT_OUTPUT))
+    def test_a_statevector_output_is_norm_checked_and_a_register_per_round(self, label):
+        kernel = self.NON_UNIT_OUTPUT[label]
+        sv = random_state(3, 4)
+        scaled = sv.amplitudes * 1.01
+        # a Statevector checks its norm when built, so only a state built
+        # unchecked can carry a non-unit norm into a kernel
+        bad = object.__new__(Statevector)
+        object.__setattr__(bad, "num_qubits", 3)
+        object.__setattr__(bad, "amplitudes", scaled)
+        with pytest.raises(ValidationError, match="norm"):
+            kernel(bad)
+        # a register is left to its loop, which checks once per round
+        register = svmod._Register(sv)
+        register.amplitudes *= 1.01
+        assert kernel(register) is register
+        with pytest.raises(ValidationError, match="norm"):
+            register.check_norm()
 
     def test_freeze_hands_over_the_array_without_a_copy(self):
         sv = random_state(5, 2)

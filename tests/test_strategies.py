@@ -255,6 +255,42 @@ class TestDisentangledSearch:
         assert start.amplitudes.tobytes() == before
         assert not np.shares_memory(state.amplitudes, start.amplitudes)
 
+    @pytest.mark.parametrize("block, round_", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch, block, round_):
+        # two blocks of two rounds; the first bit flip of round ``round_``
+        # of ``block`` is scaled. The loop checks the register's norm once
+        # per round, after the diffusion, so the fault raises at the end
+        # of that round, not when the loop freezes its register
+        faulty = 2 * (block - 1) + round_
+        calls = {"flip": 0, "phase": 0, "diffusion": 0}
+        real_flip, real_phase, real_diffusion = (
+            strategies.apply_conditional_bit_flip,
+            strategies.apply_phase_flip,
+            strategies.apply_diffusion,
+        )
+
+        def flip(*args):
+            out = real_flip(*args)
+            calls["flip"] += 1
+            if calls["flip"] == 2 * faulty - 1:
+                out.amplitudes *= 1.01
+            return out
+
+        def phase(*args):
+            calls["phase"] += 1
+            return real_phase(*args)
+
+        def diffusion(*args):
+            calls["diffusion"] += 1
+            return real_diffusion(*args)
+
+        monkeypatch.setattr(strategies, "apply_conditional_bit_flip", flip)
+        monkeypatch.setattr(strategies, "apply_phase_flip", phase)
+        monkeypatch.setattr(strategies, "apply_diffusion", diffusion)
+        with pytest.raises(ValidationError, match="norm"):
+            disentangled_search(six_qubit_problem())
+        assert calls == {"flip": 2 * faulty, "phase": faulty, "diffusion": faulty}
+
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()
         state = disentangled_search(problem).state
