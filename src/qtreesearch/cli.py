@@ -81,15 +81,14 @@ def render_json(payload) -> str:
     holds: dicts with str keys, lists, tuples, str, bool, None, int, float
     and ``Histogram``. A histogram is written as the dict
     ``{label: {"count": c, "probability": p}}`` over its support would be,
-    without that dict being built (see ``_render_histogram``), and a
-    histogram the payload holds twice is rendered once. A NaN or
+    without that dict being built (see ``_render_histogram``). A NaN or
     infinite float raises ConfigurationError naming its key path, where
     ``json.dumps`` would write ``NaN``, which is not JSON. Any other type,
     or a non-str key, raises TypeError.
     """
     out: list[str] = []
     try:
-        _render(payload, "\n", out, {})
+        _render(payload, "\n", out)
     except _NonFinite as exc:
         where = "".join(reversed(exc.path)).lstrip(".") or "the top level"
         raise ConfigurationError(
@@ -99,12 +98,8 @@ def render_json(payload) -> str:
     return "".join(out)
 
 
-def _render(value, newline: str, out: list[str], histograms: dict) -> None:
-    """Append ``value`` rendered at the indent that ``newline`` ends with.
-
-    ``histograms`` maps the id of each histogram rendered so far in this
-    payload to its (newline, text).
-    """
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` rendered at the indent that ``newline`` ends with."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -130,7 +125,7 @@ def _render(value, newline: str, out: list[str], histograms: dict) -> None:
             out.append(separator)
             separator = comma
             try:
-                _render(item, inner, out, histograms)
+                _render(item, inner, out)
             except _NonFinite as exc:
                 exc.path.append(f"[{position}]")
                 raise
@@ -148,25 +143,19 @@ def _render(value, newline: str, out: list[str], histograms: dict) -> None:
             out.append(f"{separator}{_encode_str(key)}: ")
             separator = comma
             try:
-                _render(value[key], inner, out, histograms)
+                _render(value[key], inner, out)
             except _NonFinite as exc:
                 exc.path.append(f".{key}")
                 raise
         out.append(newline + "}")
     elif isinstance(value, Histogram):
-        # an iterative artifact holds its last trial's histogram twice, at
-        # two indents; a rendered histogram has no newline but in its
-        # indentation, so the copy is the first text re-indented
-        if id(value) not in histograms:
-            histograms[id(value)] = (newline, _render_histogram(value, newline))
-        indent, text = histograms[id(value)]
-        out.append(text if indent == newline else text.replace(indent, newline))
+        _render_histogram(value, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _render_histogram(histogram: Histogram, newline: str) -> str:
-    """A histogram as its label-keyed object of count-probability leaves.
+def _render_histogram(histogram: Histogram, newline: str, out: list[str]) -> None:
+    """Append a histogram as its label-keyed object of count-probability leaves.
 
     Amplification from a uniform start keeps every unmarked pattern on one
     amplitude and leaves most counts at 0, so a histogram over 2**16
@@ -186,7 +175,8 @@ def _render_histogram(histogram: Histogram, newline: str) -> str:
         raise exc
     support = histogram.support
     if not support.size:
-        return "{}"
+        out.append("{}")
+        return
     inner = newline + "  "
     leaf = inner + "  "
     comma = "," + inner
@@ -214,7 +204,7 @@ def _render_histogram(histogram: Histogram, newline: str) -> str:
     parts[0::2] = heads.view(f"S{heads.shape[1]}").ravel().tolist()
     parts[1::2] = bodies[pair_index].tolist()
     parts[-1] = parts[-1][: -len(comma)]
-    return "".join(("{" + inner, b"".join(parts).decode("ascii"), newline + "}"))
+    out += ("{" + inner, b"".join(parts).decode("ascii"), newline + "}")
 
 
 def _cell(value) -> str:

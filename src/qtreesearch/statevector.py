@@ -487,8 +487,9 @@ def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
     pin (all of at most 11 qubits). Wider states take the Gram form
     ||M M^dagger||_F^2 (``_gram_purity``), one matrix product on the
     smaller side of M: at 20 qubits the SVD takes seconds where the
-    product takes a fraction of one. The two agree to about 1e-16 but not
-    to the last bit (5/8 is 0.6249999999999994 by SVD, ...998 by Gram).
+    product takes a fraction of one. The two agree within about 1e-12, the
+    SVD drifting more on wide states, but not to the last bit (5/8 is
+    0.6249999999999994 by SVD, ...998 by Gram).
     """
     part = _as_qubitset(part)
     part.validate_for(sv.num_qubits)
@@ -505,14 +506,13 @@ def _gram_purity(sv: Statevector, part: QubitSet) -> float:
     """Sum of sigma**4 as ||G||_F^2, G the Gram matrix of M's smaller side.
 
     No permutation of M's rows or columns changes the sum, so a cut of the
-    lowest or the highest qubits reads the amplitudes through a reshape
-    view (M or its transpose); any other cut takes ``_rows``' copy.
+    lowest qubits, which a run reads unless its config sets
+    ``purity_cuts``, takes a reshape view (M transposed); any other cut
+    takes ``_rows``' copy.
     """
-    k, n = len(part), sv.num_qubits
+    k = len(part)
     if part.indices[-1] == k - 1:
         matrix = sv.amplitudes.reshape(-1, 2**k)
-    elif part.indices[0] == n - k:
-        matrix = sv.amplitudes.reshape(2**k, -1)
     else:
         matrix = _rows(sv, part.indices)
     rows, columns = matrix.shape

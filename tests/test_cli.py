@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +14,8 @@ import qtreesearch.cli as climod
 import qtreesearch.runner as runmod
 import qtreesearch.statevector as svmod
 from qtreesearch.cli import main, render_json, render_run_text
-from qtreesearch.config import load_config, resolve_config
 from qtreesearch.errors import ConfigurationError
 from qtreesearch.runner import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNVERIFIED, Histogram
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv) -> int:
@@ -558,37 +554,6 @@ class TestRenderJson:
     def test_histograms_match_json_dumps_of_their_dict_form(self, payload):
         expected = json.dumps(_dict_form(payload), indent=2, sort_keys=True) + "\n"
         assert render_json(payload) == expected
-
-    @given(_histograms(), st.lists(_histograms(), max_size=2), st.integers(0, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_a_histogram_held_twice_matches_json_dumps(self, shared, others, depth):
-        # the shared histogram sits at the top level and, ``depth`` levels
-        # deeper, in the last trial, as in an iterative artifact
-        last = shared
-        for _ in range(depth):
-            last = {"nested": [last]}
-        payload = {
-            "histogram": shared,
-            "trials": [{"histogram": h} for h in others] + [{"histogram": last}],
-        }
-        expected = json.dumps(_dict_form(payload), indent=2, sort_keys=True) + "\n"
-        assert render_json(payload) == expected
-
-    def test_each_distinct_histogram_is_rendered_once(self, monkeypatch):
-        # the iterative golden holds its last trial's histogram twice
-        artifact, _ = runmod.run_experiment(load_config(resolve_config("fig_a_basic_4")))
-        assert artifact["histogram"] is artifact["trials"][-1]["histogram"]
-        rendered = []
-        real = climod._render_histogram
-
-        def counted(histogram, newline):
-            rendered.append(id(histogram))
-            return real(histogram, newline)
-
-        monkeypatch.setattr(climod, "_render_histogram", counted)
-        text = render_json(artifact)
-        assert len(rendered) == len(set(rendered)) == len(artifact["trials"])
-        assert text == (GOLDEN / "fig_a_basic_4.json").read_text()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_names_its_key_path(self, bad):
