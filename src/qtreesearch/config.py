@@ -100,15 +100,17 @@ class ExperimentConfig:
                     f"candidate {bits!r} has width {len(bits)}, expected g={self.g}"
                 )
         for cut in self.purity_cuts:
-            if not cut or any(q < 0 for q in cut):
-                raise ConfigurationError(f"purity cut {cut} is not a valid qubit list")
-            if len(set(cut)) != len(cut):
-                raise ConfigurationError(f"purity cut {cut} repeats a qubit")
-            if any(hi <= lo for lo, hi in zip(cut, cut[1:])):
-                raise ConfigurationError(
-                    f"field 'purity_cuts': cut {list(cut)} must list its qubits in "
-                    "increasing order"
-                )
+            if not cut:
+                fault = "is empty"
+            elif any(q < 0 for q in cut):
+                fault = "names a negative qubit"
+            elif len(set(cut)) != len(cut):
+                fault = "repeats a qubit"
+            elif any(hi <= lo for lo, hi in zip(cut, cut[1:])):
+                fault = "must list its qubits in increasing order"
+            else:
+                continue
+            raise ConfigurationError(f"field 'purity_cuts': cut {list(cut)} {fault}")
 
     @property
     def v(self) -> int:

@@ -354,12 +354,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     # every strategy keeps the candidate register on qubits 0..g-1, the
     # disentangled composite register included
     cuts = config.purity_cuts if config.purity_cuts else (problem.lower_qubits.indices,)
+    width = run.state.num_qubits
     for cut in cuts:
-        bad = [q for q in cut if q >= run.state.num_qubits]
-        if bad:
-            raise ConfigurationError(
-                f"purity cut {list(cut)} exceeds the {run.state.num_qubits}-qubit state"
-            )
+        if any(q >= width for q in cut):
+            fault = f"exceeds the {width}-qubit state"
+        elif len(cut) == width:
+            fault = f"covers the whole {width}-qubit state"
+        else:
+            continue
+        raise ConfigurationError(f"field 'purity_cuts': cut {list(cut)} {fault}")
     artifact: dict = {
         "config": config.to_dict(),
         "endianness": "little",

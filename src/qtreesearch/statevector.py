@@ -24,10 +24,9 @@ a register is norm-checked once per round, by the loop, after the round's
 diffusion. Flips, swaps and index maps only negate or move amplitudes, so
 that one check still sees a fault from any kernel of the round. The
 read-outs ``marginal_distribution`` and ``partition_purity`` instead view
-the amplitudes as a transposed (2**k, rest) matrix whose row p is
-sub-pattern p: their sums run in that row order, and the bundled artifacts
-pin the bytes those sums give. Above PURITY_SVD_MAX_QUBITS the purity
-takes the Gram form, which no row order changes.
+the amplitudes as a (2**k, rest) matrix whose row p is sub-pattern p
+(``_rows``): the marginal sums each row, and the purity is the squared
+Frobenius norm of that matrix's Gram matrix on its smaller side.
 
 Every kernel also has an O(dim) reference, used by the cross-check
 context, that computes the same output from basis-index bit arithmetic
@@ -50,9 +49,6 @@ from .errors import ConfigurationError, ValidationError
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-9
-# widest state whose cut purity sums the SVD's fourth powers; wider states
-# use the Gram form (see partition_purity)
-PURITY_SVD_MAX_QUBITS = 12
 # probabilities at or below this are left out of a label-keyed read-out
 SUPPORT_FLOOR = 1e-12
 
@@ -471,8 +467,8 @@ def _rows(sv: Statevector, order: Sequence[int]) -> np.ndarray:
     """The amplitudes as a (2**k, rest) matrix; row p is sub-pattern p.
 
     Bit j of p is qubit order[j]. The columns run over the other qubits in
-    basis-index order. A transposed copy: the read-outs below keep it
-    because their sums run in this row order.
+    basis-index order. A view when ``order`` is a run of the lowest or the
+    highest qubits in increasing order; otherwise a transposed copy.
     """
     tensor = sv.amplitudes.reshape((2,) * sv.num_qubits)
     return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
@@ -482,39 +478,16 @@ def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
     """Purity of the reduced state on ``part``; 1 means no entanglement.
 
     The purity is the sum of the fourth powers of the singular values of
-    the (2**k, rest) amplitude matrix M. Up to PURITY_SVD_MAX_QUBITS (12)
-    qubits it is summed from the SVD, whose last bits the bundled artifacts
-    pin (all of at most 11 qubits). Wider states take the Gram form
-    ||M M^dagger||_F^2 (``_gram_purity``), one matrix product on the
-    smaller side of M: at 20 qubits the SVD takes seconds where the
-    product takes a fraction of one. The two agree within about 1e-12, the
-    SVD drifting more on wide states, but not to the last bit (5/8 is
-    0.6249999999999994 by SVD, ...998 by Gram).
+    the (2**k, rest) amplitude matrix M, which is ||G||_F^2 with G the Gram
+    matrix of M's smaller side: one matrix product and one ``vdot``. No
+    permutation of M's rows or columns changes the sum. From 14 qubits up,
+    the product's last bits depend on the BLAS thread count.
     """
     part = _as_qubitset(part)
     part.validate_for(sv.num_qubits)
     if len(part) == 0 or len(part) == sv.num_qubits:
         raise ConfigurationError("partition must be a proper nonempty subset")
-    if sv.num_qubits > PURITY_SVD_MAX_QUBITS:
-        return _gram_purity(sv, part)
-    # part[0] as the top row bit: the SVD sees the rows in this order
-    singular = np.linalg.svd(_rows(sv, part.indices[::-1]), compute_uv=False)
-    return float(np.sum(singular**4))
-
-
-def _gram_purity(sv: Statevector, part: QubitSet) -> float:
-    """Sum of sigma**4 as ||G||_F^2, G the Gram matrix of M's smaller side.
-
-    No permutation of M's rows or columns changes the sum, so a cut of the
-    lowest qubits, which a run reads unless its config sets
-    ``purity_cuts``, takes a reshape view (M transposed); any other cut
-    takes ``_rows``' copy.
-    """
-    k = len(part)
-    if part.indices[-1] == k - 1:
-        matrix = sv.amplitudes.reshape(-1, 2**k)
-    else:
-        matrix = _rows(sv, part.indices)
+    matrix = _rows(sv, part.indices)
     rows, columns = matrix.shape
     gram = matrix.conj().T @ matrix if columns <= rows else matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)

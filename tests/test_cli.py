@@ -170,11 +170,19 @@ class TestRun:
         assert lines[start : start + 10] == expected
         assert lines[start + 10].startswith("purity ")
 
-    def test_oversized_purity_cut_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cut, fault",
+        [
+            ("[7]", "exceeds the 5-qubit state"),
+            ("[0, 1, 2, 3, 4]", "covers the whole 5-qubit state"),
+        ],
+    )
+    def test_oversized_purity_cut_rejected(self, tmp_path, capsys, cut, fault):
         config = write_config(
-            tmp_path, FIVE_QUBIT.format(strategy="product") + "purity_cuts: [[7]]\n"
+            tmp_path, FIVE_QUBIT.format(strategy="product") + f"purity_cuts: [{cut}]\n"
         )
         assert run_cli("run", "--config", config) == EXIT_CONFIG_ERROR
+        assert f"field 'purity_cuts': cut {cut} {fault}" in capsys.readouterr().err
 
 
 class TestCost:

@@ -135,9 +135,14 @@ def test_purity_cuts_normalized():
     assert config.purity_cuts == ((0, 1), (2,))
 
 
-def test_purity_cut_duplicates_rejected():
-    with pytest.raises(ConfigurationError, match="repeats"):
-        config_from_mapping(dict(MINIMAL, purity_cuts=[[1, 1]]))
+@pytest.mark.parametrize(
+    "cut, fault",
+    [([], "is empty"), ([-1], "names a negative qubit"), ([1, 1], "repeats a qubit")],
+)
+def test_bad_purity_cut_names_the_field_and_the_cut(cut, fault):
+    with pytest.raises(ConfigurationError) as caught:
+        config_from_mapping(dict(MINIMAL, purity_cuts=[cut]))
+    assert str(caught.value).endswith(f"field 'purity_cuts': cut {cut} {fault}")
 
 
 def test_unsorted_purity_cut_rejected_at_load(tmp_path):

@@ -15,17 +15,18 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_script(name, *args):
+def run_script(name, *args, **env_vars):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
 
-def test_run_figures_writes_the_golden_artifacts(tmp_path):
-    done = run_script("run_figures.py", "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_figures_writes_the_golden_artifacts(tmp_path, threads):
+    done = run_script("run_figures.py", "--out-dir", str(tmp_path), OPENBLAS_NUM_THREADS=threads)
     assert done.returncode == 0, done.stderr
     written = sorted(p.name for p in tmp_path.glob("*.json"))
     assert written == sorted(p.name for p in GOLDEN.glob("*.json"))
