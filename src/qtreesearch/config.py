@@ -3,26 +3,43 @@
 Configs are flat YAML (JSON parses too, being a YAML subset). Bit-strings
 must be quoted in YAML, otherwise they resolve as numbers. Unknown keys are
 rejected so typos fail loudly instead of silently using defaults.
+
+``ExperimentConfig`` is the one validator. Building one checks every
+field's type and value, builds the search problem, and checks the width of
+the simulated register and every purity cut against it, so a config that
+exists can run; each fault is raised as ``field '<name>': <fault>``.
+``config_from_mapping`` adds only the checks on the mapping itself and the
+source prefix.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, PreconditionError, ValidationError
 from .oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
 from .permutation import CONVENTIONS
 from .statevector import MAX_QUBITS
-from .strategies import SearchProblem
+from .strategies import SearchProblem, disentangled_layout, require_matching_candidate
 
 STRATEGY_CHOICES = ("product", "entangled", "iterative", "disentangled", "permutation")
 OUTPUT_FORMATS = ("json", "csv", "text")
 PREP_CHOICES = ("grover", "basis")
+# numpy draws multinomial counts as int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
+_CHOICES = {
+    "strategy": STRATEGY_CHOICES,
+    "format": OUTPUT_FORMATS,
+    "prep": PREP_CHOICES,
+    "convention": CONVENTIONS,
+}
 _REQUIRED_KEYS = ("strategy", "m", "g", "upper_oracle", "lower_oracle", "candidates")
 _OPTIONAL_KEYS = (
     "v",
@@ -39,13 +56,26 @@ _OPTIONAL_KEYS = (
 )
 
 
-def _field_error(source: str, name: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"{source}: field {name!r}: {message}")
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@contextmanager
+def _field(name: str):
+    """Raise any fault found inside the block as a fault of field ``name``."""
+    try:
+        yield
+    except (ConfigurationError, ValidationError, PreconditionError) as exc:
+        raise ConfigurationError(f"field {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a search problem plus execution and output settings."""
+    """One experiment: a search problem plus execution and output settings.
+
+    List fields may be given as lists and are kept as tuples. The search
+    problem is built once, here, and ``problem()`` returns it.
+    """
 
     strategy: str
     m: int
@@ -64,42 +94,90 @@ class ExperimentConfig:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGY_CHOICES:
-            raise ConfigurationError(
-                f"strategy must be one of {STRATEGY_CHOICES}, got {self.strategy!r}"
+        for name in ("strategy", "format", "prep", "convention", "name", "description"):
+            value = getattr(self, name)
+            with _field(name):
+                if not isinstance(value, str):
+                    raise ConfigurationError(f"expected a string, got {value!r}")
+                if name in _CHOICES and value not in _CHOICES[name]:
+                    raise ConfigurationError(
+                        f"{name} must be one of {_CHOICES[name]}, got {value!r}"
+                    )
+        for name in ("m", "g", "shots", "seed", "shots_per_trial"):
+            value = getattr(self, name)
+            with _field(name):
+                if not _is_integer(value):
+                    raise ConfigurationError(f"expected an integer, got {value!r}")
+                if name in ("shots", "shots_per_trial") and not 1 <= value <= MAX_SHOTS:
+                    bound = "at least 1" if value < 1 else f"at most {MAX_SHOTS}"
+                    raise ConfigurationError(f"{name} must be {bound}, got {value}")
+        with _field("g"):
+            if not 1 <= self.g < self.m:
+                raise ConfigurationError(f"need 1 <= g < m, got g={self.g}, m={self.m}")
+        with _field("m"):
+            if self.m > MAX_QUBITS:
+                raise ConfigurationError(f"m={self.m} exceeds the {MAX_QUBITS}-qubit limit")
+        with _field("seed"):
+            if self.seed < 0:
+                raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+
+        upper = self._half("upper_oracle", self.m - self.g)
+        lower = self._half("lower_oracle", self.g)
+        with _field("upper_oracle" if upper.marked_count != 1 else "lower_oracle"):
+            global_oracle = ConcatenatedOracle(upper=upper, lower=lower)
+        with _field("candidates"):
+            for bits in self._as_tuple("candidates", "bit-strings"):
+                if not isinstance(bits, str):
+                    raise ConfigurationError(
+                        f"entry {bits!r} is not a string (quote bit-strings in YAML)"
+                    )
+                if len(bits) != self.g:
+                    raise ConfigurationError(
+                        f"candidate {bits!r} has width {len(bits)}, expected g={self.g}"
+                    )
+            problem = SearchProblem(
+                global_oracle=global_oracle,
+                candidates=PartialCandidateSet.from_strings(self.candidates),
             )
-        if not 1 <= self.g < self.m:
-            raise ConfigurationError(f"need 1 <= g < m, got g={self.g}, m={self.m}")
-        if self.m > MAX_QUBITS:
-            raise ConfigurationError(f"m={self.m} exceeds the {MAX_QUBITS}-qubit limit")
-        if self.shots < 1:
-            raise ConfigurationError(f"shots must be at least 1, got {self.shots}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.shots_per_trial < 1:
-            raise ConfigurationError(
-                f"shots_per_trial must be at least 1, got {self.shots_per_trial}"
-            )
-        if self.format not in OUTPUT_FORMATS:
-            raise ConfigurationError(
-                f"format must be one of {OUTPUT_FORMATS}, got {self.format!r}"
-            )
-        if self.prep not in PREP_CHOICES:
-            raise ConfigurationError(
-                f"prep must be one of {PREP_CHOICES}, got {self.prep!r}"
-            )
-        if self.convention not in CONVENTIONS:
-            raise ConfigurationError(
-                f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
-            )
-        if not self.candidates:
-            raise ConfigurationError("candidates must be a non-empty list")
-        for bits in self.candidates:
-            if len(bits) != self.g:
-                raise ConfigurationError(
-                    f"candidate {bits!r} has width {len(bits)}, expected g={self.g}"
-                )
-        for cut in self.purity_cuts:
+            width = self.m
+            if self.strategy == "entangled":
+                require_matching_candidate(problem)
+            elif self.strategy == "disentangled":
+                width = disentangled_layout(problem).total_qubits
+        with _field("purity_cuts"):
+            self._check_purity_cuts(width)
+        object.__setattr__(self, "_problem", problem)
+
+    def _half(self, name: str, width: int) -> ConjunctionOracle:
+        """One half of the global oracle, from the signed literals of field ``name``."""
+        with _field(name):
+            literals = self._as_tuple(name, "signed literals")
+            for item in literals:
+                if not _is_integer(item):
+                    raise ConfigurationError(f"literal {item!r} is not an integer")
+            return ConjunctionOracle.from_signed_literals(literals, width=width)
+
+    def _as_tuple(self, name: str, what: str) -> tuple:
+        """The list field ``name`` as a tuple, which must not be empty."""
+        value = getattr(self, name)
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigurationError(f"expected a non-empty list of {what}")
+        value = tuple(value)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _check_purity_cuts(self, width: int) -> None:
+        """Each cut: increasing qubits of the ``width``-qubit state, not all of them."""
+        cuts = self.purity_cuts
+        if not isinstance(cuts, (list, tuple)):
+            raise ConfigurationError("expected a list of qubit lists")
+        normalized = []
+        for cut in cuts:
+            if not isinstance(cut, (list, tuple)):
+                raise ConfigurationError(f"cut {cut!r} is not a qubit list")
+            for q in cut:
+                if not _is_integer(q):
+                    raise ConfigurationError(f"expected an integer, got {q!r}")
             if not cut:
                 fault = "is empty"
             elif any(q < 0 for q in cut):
@@ -108,23 +186,23 @@ class ExperimentConfig:
                 fault = "repeats a qubit"
             elif any(hi <= lo for lo, hi in zip(cut, cut[1:])):
                 fault = "must list its qubits in increasing order"
+            elif cut[-1] >= width:
+                fault = f"exceeds the {width}-qubit state"
+            elif len(cut) == width:
+                fault = f"covers the whole {width}-qubit state"
             else:
+                normalized.append(tuple(cut))
                 continue
-            raise ConfigurationError(f"field 'purity_cuts': cut {list(cut)} {fault}")
+            raise ConfigurationError(f"cut {list(cut)} {fault}")
+        object.__setattr__(self, "purity_cuts", tuple(normalized))
 
     @property
     def v(self) -> int:
         return len(self.candidates)
 
     def problem(self) -> SearchProblem:
-        upper = ConjunctionOracle.from_signed_literals(
-            self.upper_oracle, width=self.m - self.g
-        )
-        lower = ConjunctionOracle.from_signed_literals(self.lower_oracle, width=self.g)
-        return SearchProblem(
-            global_oracle=ConcatenatedOracle(upper=upper, lower=lower),
-            candidates=PartialCandidateSet.from_strings(self.candidates),
-        )
+        """The search problem, built once when the config was."""
+        return self._problem
 
     def to_dict(self) -> dict:
         """Echo for reports; bit order is stated explicitly."""
@@ -138,96 +216,35 @@ class ExperimentConfig:
         return data
 
 
-def _as_int(source: str, name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _field_error(source, name, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_literals(source: str, name: str, value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _field_error(source, name, "expected a non-empty list of signed literals")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise _field_error(source, name, f"literal {item!r} is not an integer")
-        out.append(item)
-    return tuple(out)
-
-
-def _as_bit_strings(source: str, name: str, value) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _field_error(source, name, "expected a non-empty list of bit-strings")
-    out = []
-    for item in value:
-        if not isinstance(item, str):
-            raise _field_error(
-                source,
-                name,
-                f"entry {item!r} is not a string (quote bit-strings in YAML)",
-            )
-        out.append(item)
-    return tuple(out)
-
-
 def config_from_mapping(data, source: str = "<memory>") -> ExperimentConfig:
-    """Build and validate a config from a parsed mapping."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{source}: expected a mapping at the top level")
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{source}: unknown keys {unknown}")
-    missing = [key for key in _REQUIRED_KEYS if key not in data]
-    if missing:
-        raise ConfigurationError(f"{source}: missing required keys {missing}")
+    """Build and validate a config from a parsed mapping.
 
-    if "endianness" in data and data["endianness"] != "little":
-        raise _field_error(source, "endianness", "only 'little' is supported")
-
-    kwargs = {
-        "strategy": data["strategy"],
-        "m": _as_int(source, "m", data["m"]),
-        "g": _as_int(source, "g", data["g"]),
-        "upper_oracle": _as_literals(source, "upper_oracle", data["upper_oracle"]),
-        "lower_oracle": _as_literals(source, "lower_oracle", data["lower_oracle"]),
-        "candidates": _as_bit_strings(source, "candidates", data["candidates"]),
-    }
-    for key in ("shots", "seed", "shots_per_trial"):
-        if key in data:
-            kwargs[key] = _as_int(source, key, data[key])
-    for key in ("format", "prep", "convention", "name", "description"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, str):
-                raise _field_error(source, key, f"expected a string, got {value!r}")
-            kwargs[key] = value
-    if "purity_cuts" in data:
-        cuts = data["purity_cuts"]
-        if not isinstance(cuts, (list, tuple)):
-            raise _field_error(source, "purity_cuts", "expected a list of qubit lists")
-        normalized = []
-        for cut in cuts:
-            if not isinstance(cut, (list, tuple)):
-                raise _field_error(
-                    source, "purity_cuts", f"cut {cut!r} is not a qubit list"
-                )
-            normalized.append(tuple(_as_int(source, "purity_cuts", q) for q in cut))
-        kwargs["purity_cuts"] = tuple(normalized)
-
+    Checks what only the mapping shows (its keys, a declared ``v``, the
+    ``endianness``); ``ExperimentConfig`` checks every field. Each fault
+    is prefixed with ``source``.
+    """
     try:
-        config = ExperimentConfig(**kwargs)
-    except (ConfigurationError, ValidationError) as exc:
-        raise ConfigurationError(f"{source}: {exc}") from exc
-    if "v" in data:
-        declared = _as_int(source, "v", data["v"])
-        if declared != config.v:
-            raise _field_error(
-                source, "v", f"declared {declared} but {config.v} candidates given"
-            )
-    try:
-        config.problem()
-    except (ConfigurationError, ValidationError) as exc:
+        if not isinstance(data, dict):
+            raise ConfigurationError("expected a mapping at the top level")
+        known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
+        unknown = sorted(set(data) - known, key=str)
+        if unknown:
+            raise ConfigurationError(f"unknown keys {unknown}")
+        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ConfigurationError(f"missing required keys {missing}")
+        fields = dict(data)
+        with _field("endianness"):
+            if fields.pop("endianness", "little") != "little":
+                raise ConfigurationError("only 'little' is supported")
+        declared = fields.pop("v", None)
+        config = ExperimentConfig(**fields)
+        with _field("v"):
+            if declared is not None and not _is_integer(declared):
+                raise ConfigurationError(f"expected an integer, got {declared!r}")
+            if declared not in (None, config.v):
+                raise ConfigurationError(f"declared {declared} but {config.v} candidates given")
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from exc
     return config
 

@@ -159,18 +159,6 @@ class ConcatenatedOracle:
         """Pattern (z << split) | y is marked when upper marks z and lower y."""
         return np.outer(self.upper.mask(), self.lower.mask()).reshape(-1)
 
-    @property
-    def marked_count(self) -> int:
-        return 1
-
-    @property
-    def solution(self) -> int:
-        return (self.upper.marked_state << self.split) | self.lower.marked_state
-
-    @property
-    def solution_bits(self) -> str:
-        return int_to_bits(self.solution, self.width)
-
 
 @dataclass(frozen=True)
 class PartialCandidateSet:
@@ -217,10 +205,6 @@ class PartialCandidateSet:
     @property
     def size(self) -> int:
         return len(self.candidates)
-
-    @property
-    def marked_count(self) -> int:
-        return self.size
 
     def candidate(self, k: int) -> int:
         """The k-th candidate, 1-based."""

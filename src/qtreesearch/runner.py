@@ -9,8 +9,9 @@ trials, blocks, relabeling) and the key of its cost model.
 ``run_experiment`` assembles the artifact from that record;
 ``run_verification`` replays the same entry under the kernel cross-check
 and never builds the sections; ``run_sweep`` builds one iterative config
-per row and runs it through the same entry. ``ExperimentConfig.problem``
-is the one place a search problem is built.
+per row and runs it through the same entry. An ``ExperimentConfig``
+builds its search problem once, when it is validated, and
+``ExperimentConfig.problem`` returns that one.
 
 Reports are plain dicts of builtin types so they serialize byte-identically
 for a fixed config and seed. The one exception is a histogram, which
@@ -352,17 +353,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     run = STRATEGY_RUNS[config.strategy](config, problem, counter)
 
     # every strategy keeps the candidate register on qubits 0..g-1, the
-    # disentangled composite register included
+    # disentangled composite register included; the config has checked
+    # its own cuts against the state's width
     cuts = config.purity_cuts if config.purity_cuts else (problem.lower_qubits.indices,)
-    width = run.state.num_qubits
-    for cut in cuts:
-        if any(q >= width for q in cut):
-            fault = f"exceeds the {width}-qubit state"
-        elif len(cut) == width:
-            fault = f"covers the whole {width}-qubit state"
-        else:
-            continue
-        raise ConfigurationError(f"field 'purity_cuts': cut {list(cut)} {fault}")
     artifact: dict = {
         "config": config.to_dict(),
         "endianness": "little",

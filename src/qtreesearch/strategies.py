@@ -93,14 +93,6 @@ class SearchProblem:
         return qubit_range(0, self.m)
 
     @property
-    def solution(self) -> int:
-        return self.global_oracle.solution
-
-    @property
-    def solution_bits(self) -> str:
-        return self.global_oracle.solution_bits
-
-    @property
     def upper_target(self) -> int:
         return self.global_oracle.upper.marked_state
 
@@ -201,6 +193,14 @@ def _amplify_upper_globally(
     return amplify(sv, marked, problem.all_qubits, problem.upper_qubits, rounds, counter)
 
 
+def require_matching_candidate(problem: SearchProblem) -> None:
+    """The entangled strategy's premise: some candidate completes the solution."""
+    if problem.matching_candidate_index() is None:
+        raise PreconditionError(
+            "the oracle's lower string is not among the candidates"
+        )
+
+
 def entangled_nested(
     problem: SearchProblem, counter: QueryCounter | None = None
 ) -> Statevector:
@@ -210,10 +210,7 @@ def entangled_nested(
     with the matching candidate grows; the halves end entangled and the
     solution carries roughly 1/v of the mass.
     """
-    if problem.matching_candidate_index() is None:
-        raise PreconditionError(
-            "the oracle's lower string is not among the candidates"
-        )
+    require_matching_candidate(problem)
     sv = prepare_candidates(problem, counter)
     return _amplify_upper_globally(problem, sv, counter)
 
@@ -334,6 +331,9 @@ class DisentangledOutcome(NamedTuple):
 
 
 def disentangled_layout(problem: SearchProblem) -> CompositeLayout:
+    """The composite register of ``problem``; needs two candidates and fits the cap."""
+    if problem.v < 2:
+        raise PreconditionError("block scoring needs at least two candidates")
     layout = CompositeLayout(
         g=problem.g, block_width=problem.m - problem.g, v=problem.v
     )
@@ -391,8 +391,6 @@ def disentangled_search(
     more than DECISION_THRESHOLD on the upper target; None when no such
     block exists (the upper target is absent or ambiguous).
     """
-    if problem.v < 2:
-        raise PreconditionError("block scoring needs at least two candidates")
     layout = disentangled_layout(problem)
     sv = _flags_cleared_uniform(layout)
     prep_rounds = iteration_count(2**problem.g, problem.v)

@@ -182,7 +182,9 @@ class TestRun:
             tmp_path, FIVE_QUBIT.format(strategy="product") + f"purity_cuts: [{cut}]\n"
         )
         assert run_cli("run", "--config", config) == EXIT_CONFIG_ERROR
-        assert f"field 'purity_cuts': cut {cut} {fault}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {config}: field 'purity_cuts': cut {cut} {fault}\n"
+        )
 
 
 class TestCost:
@@ -387,7 +389,7 @@ class TestVerify:
 def test_negative_seed_exits_one(argv, capsys):
     assert run_cli(*argv, "--seed", "-1", "--format", "json") == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()
-    assert "seed must be non-negative, got -1" in captured.err
+    assert captured.err == "error: field 'seed': seed must be non-negative, got -1\n"
     assert captured.out == ""
 
 
@@ -432,11 +434,14 @@ class TestSweep:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--m", "3", "--g", "3"), "need 1 <= g < m, got g=3, m=3"),
-            (("--g", "0"), "need 1 <= g < m, got g=0, m=5"),
-            (("--g", "-1"), "need 1 <= g < m, got g=-1, m=5"),
-            (("--m", "21", "--g", "10"), "m=21 exceeds the 20-qubit limit"),
-            (("--shots", "0"), "shots_per_trial must be at least 1, got 0"),
+            (("--m", "3", "--g", "3"), "field 'g': need 1 <= g < m, got g=3, m=3"),
+            (("--g", "0"), "field 'g': need 1 <= g < m, got g=0, m=5"),
+            (("--g", "-1"), "field 'g': need 1 <= g < m, got g=-1, m=5"),
+            (("--m", "21", "--g", "10"), "field 'm': m=21 exceeds the 20-qubit limit"),
+            (
+                ("--shots", "0"),
+                "field 'shots_per_trial': shots_per_trial must be at least 1, got 0",
+            ),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
     )

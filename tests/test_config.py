@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from qtreesearch.config import (
@@ -45,10 +46,20 @@ def test_echo_carries_endianness_and_v():
 
 
 def test_problem_construction():
-    problem = config_from_mapping(dict(MINIMAL)).problem()
+    config = config_from_mapping(dict(MINIMAL))
+    problem = config.problem()
     assert problem.m == 5
     assert problem.g == 3
-    assert problem.solution_bits == "10101"
+    assert np.flatnonzero(problem.global_oracle.mask()).tolist() == [0b10101]
+    # built once, when the config was validated
+    assert config.problem() is problem
+
+
+def test_problem_stays_out_of_the_echo():
+    config = config_from_mapping(dict(MINIMAL))
+    assert "_problem" not in dataclasses.asdict(config)
+    assert "_problem" not in config.to_dict()
+    assert config == config_from_mapping(dict(MINIMAL))
 
 
 def test_declared_v_must_match():
@@ -64,6 +75,13 @@ def test_declared_v_accepted_when_consistent():
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigurationError, match="unknown keys"):
         config_from_mapping(dict(MINIMAL, qubits=7))
+
+
+def test_unknown_keys_of_mixed_types_rejected():
+    # a YAML key may parse as a number; the message still lists every key
+    with pytest.raises(ConfigurationError) as caught:
+        config_from_mapping({**MINIMAL, 1: 0, "qubits": 7})
+    assert str(caught.value) == "<memory>: unknown keys [1, 'qubits']"
 
 
 def test_missing_keys_named():
@@ -114,15 +132,28 @@ def test_zero_shots_rejected():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ConfigurationError, match="<memory>: seed must be non-negative, got -1"):
+    with pytest.raises(ConfigurationError) as caught:
         config_from_mapping(dict(MINIMAL, seed=-1))
+    assert str(caught.value) == "<memory>: field 'seed': seed must be non-negative, got -1"
 
 
 def test_negative_seed_override_rejected():
     # the run and verify --seed overrides replace the field on a loaded config
     config = config_from_mapping(dict(MINIMAL))
-    with pytest.raises(ConfigurationError, match="seed must be non-negative, got -3"):
+    with pytest.raises(ConfigurationError) as caught:
         dataclasses.replace(config, seed=-3)
+    assert str(caught.value) == "field 'seed': seed must be non-negative, got -3"
+
+
+def test_lists_are_kept_as_tuples():
+    config = ExperimentConfig(
+        strategy="product", m=5, g=3, upper_oracle=[2, -1], lower_oracle=[3, -2, 1],
+        candidates=["011", "101"], purity_cuts=[[0, 1]],
+    )
+    assert config.upper_oracle == (2, -1)
+    assert config.candidates == ("011", "101")
+    assert config.purity_cuts == ((0, 1),)
+    assert config == config_from_mapping(dict(MINIMAL, purity_cuts=[[0, 1]]))
 
 
 def test_bool_not_accepted_as_int():

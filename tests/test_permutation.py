@@ -315,7 +315,7 @@ class TestCompactedSearch:
         # never marks, so the solution stays the top outcome at every seed
         problem = self._half_filled_problem(upper, target)
         found = [_verified_search(problem, seed=seed).found for seed in range(20)]
-        assert found == [problem.solution_bits] * 20
+        assert found == [problem.upper_target_bits + target] * 20
 
     @pytest.mark.parametrize("upper", [[2, -1], [-3, -2, 1]], ids=["m5", "m6"])
     @pytest.mark.parametrize("target", ["001", "010", "100", "111"])
@@ -327,5 +327,5 @@ class TestCompactedSearch:
         problem = self._half_filled_problem(upper, target)
         weights = probability_map(compacted_search_state(problem).state)
         assert len(weights) == 2**problem.m
-        assert weights[problem.solution_bits] == pytest.approx(2.0**-problem.m)
+        assert weights[problem.upper_target_bits + target] == pytest.approx(2.0**-problem.m)
         assert max(weights.values()) == pytest.approx(2.0**-problem.m)

@@ -55,7 +55,7 @@ class TestSearchProblem:
     def test_geometry(self):
         problem = five_qubit_problem()
         assert (problem.m, problem.g, problem.v) == (5, 3, 2)
-        assert problem.solution_bits == "10101"
+        assert np.flatnonzero(problem.global_oracle.mask()).tolist() == [0b10101]
         assert problem.upper_target_bits == "10"
         assert problem.lower_solution == 0b101
         assert problem.matching_candidate_index() == 2
@@ -323,6 +323,8 @@ class TestDisentangledSearch:
     def test_requires_two_candidates(self):
         with pytest.raises(PreconditionError):
             disentangled_search(six_qubit_problem(candidate_strings=("011",)))
+        with pytest.raises(PreconditionError):
+            disentangled_layout(six_qubit_problem(candidate_strings=("011",)))
 
     def test_rejects_oversized_composite(self):
         upper = ConjunctionOracle.from_signed_literals([5, -4, 3, -2, 1], width=5)
