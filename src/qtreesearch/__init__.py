@@ -55,6 +55,7 @@ from .runner import run_experiment, run_sweep, run_verification
 from .statevector import (
     KernelCrossCheck,
     QubitSet,
+    Register,
     Statevector,
     apply_conditional_bit_flip,
     apply_diffusion,

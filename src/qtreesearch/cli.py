@@ -433,10 +433,11 @@ def _cmd_cost(args) -> tuple[dict, int, str]:
 
 
 def _cmd_verify(args) -> tuple[dict, int, str]:
-    config = load_config(resolve_config(args.config))
+    path = resolve_config(args.config)
+    config = load_config(path)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    return (*run_verification(config), args.format)
+    return (*run_verification(config, str(path)), args.format)
 
 
 def _cmd_sweep(args) -> tuple[dict, int, str]:

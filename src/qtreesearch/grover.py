@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .statevector import QubitSet, Statevector, _Register, apply_diffusion, apply_phase_flip
+from .statevector import QubitSet, Register, apply_diffusion, apply_phase_flip
 
 
 @dataclass
@@ -65,48 +65,45 @@ def success_probability(num_states: int, num_marked: int, iterations: int) -> fl
 
 
 def run_grover(
-    sv: Statevector,
+    sv: Register,
     marked: np.ndarray,
     on: QubitSet | Sequence[int],
     rounds: int,
     counter: QueryCounter | None = None,
-) -> Statevector:
+) -> Register:
     """Apply `rounds` repetitions of [phase flip; diffusion] on `on`.
 
     ``marked`` is the oracle mask over the sub-patterns of ``on``.
-    Amplifies whatever projection of the current state the mask marks;
-    the caller chooses the starting state and the round count.
+    Amplifies whatever projection of the register's state the mask marks;
+    the caller opens the register and chooses the round count.
     """
     return amplify(sv, marked, on, on, rounds, counter)
 
 
 def amplify(
-    sv: Statevector,
+    sv: Register,
     marked: np.ndarray,
     flip_on: QubitSet | Sequence[int],
     diffuse_on: QubitSet | Sequence[int],
     rounds: int,
     counter: QueryCounter | None = None,
-) -> Statevector:
+) -> Register:
     """Repeat [phase flip by ``marked`` on ``flip_on``; diffusion on ``diffuse_on``].
 
     A mask that also reads qubits outside ``diffuse_on`` lets their
     amplitudes steer which patterns of the diffused qubits grow.
 
-    The rounds run on one writable register: a copy of ``sv`` that every
-    kernel call updates in place, norm-checked once per round after the
-    diffusion, and frozen into the returned Statevector. ``sv`` itself is
-    left untouched, and the result shares no memory with it.
+    The rounds update the given register in place, and its norm is
+    checked once per round, after the diffusion. The same register is
+    returned, unfrozen, for the caller's next stage.
     """
     if rounds < 0:
         raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-    sv = _Register(sv)
     for _ in range(rounds):
-        sv = apply_phase_flip(sv, marked, flip_on)
-        sv = apply_diffusion(sv, diffuse_on)
+        apply_phase_flip(sv, marked, flip_on)
+        apply_diffusion(sv, diffuse_on)
         sv.check_norm()
         if counter is not None:
             counter.count_oracle()
             counter.count_diffusion()
-    return sv.freeze()
-
+    return sv

@@ -22,9 +22,11 @@ from .grover import QueryCounter, amplify, iteration_count
 from .oracles import bits_to_int
 from .statevector import (
     QubitSet,
+    Register,
     Statevector,
     apply_conditional_bit_flip,
     apply_index_map,
+    init_uniform,
     qubits,
 )
 from .strategies import SearchProblem, prepare_candidates
@@ -111,8 +113,8 @@ def build_permutation(h_paths, convention: str = "standard") -> PermutationSpec:
 
 
 def apply_cnot_permutation(
-    sv: Statevector, spec: PermutationSpec, data: QubitSet, flags: QubitSet
-) -> Statevector:
+    sv: Register, spec: PermutationSpec, data: QubitSet, flags: QubitSet
+) -> Register:
     """Run the swap recipe as controlled-not gates with flag ancillas.
 
     Each swap (a, b) marks membership of the data register in {a, b} on its
@@ -134,26 +136,26 @@ def apply_cnot_permutation(
     for (a, b), flag in zip(spec.transpositions, flags.indices):
         mark_a = patterns == a
         mark_b = patterns == b
-        sv = apply_conditional_bit_flip(sv, flag, mark_a, data)
-        sv = apply_conditional_bit_flip(sv, flag, mark_b, data)
+        apply_conditional_bit_flip(sv, flag, mark_a, data)
+        apply_conditional_bit_flip(sv, flag, mark_b, data)
         difference = a ^ b
         for j, q in enumerate(data.indices):
             if (difference >> j) & 1:
-                sv = apply_conditional_bit_flip(sv, q, flag_set, qubits(flag))
-        sv = apply_conditional_bit_flip(sv, flag, mark_a, data)
-        sv = apply_conditional_bit_flip(sv, flag, mark_b, data)
+                apply_conditional_bit_flip(sv, q, flag_set, qubits(flag))
+        apply_conditional_bit_flip(sv, flag, mark_a, data)
+        apply_conditional_bit_flip(sv, flag, mark_b, data)
     return sv
 
 
-def _basis_prepared(problem: SearchProblem) -> Statevector:
-    """Uniform upper half against an even superposition of the candidates."""
+def _basis_prepared(problem: SearchProblem) -> Register:
+    """A register: uniform upper half against an even mix of the candidates."""
     m, g = problem.m, problem.g
     amps = np.zeros(2**m, dtype=np.complex128)
     # row z, column y: the amplitude of (z << g) | y
     amps.reshape(2 ** (m - g), 2**g)[:, list(problem.candidates.candidates)] = (
         1.0 / np.sqrt(problem.v * 2 ** (m - g))
     )
-    return Statevector(m, amps)
+    return Register(m, amps)
 
 
 class CompactedSearch(NamedTuple):
@@ -173,7 +175,8 @@ def compacted_search_state(
     direct basis encoding), relabel the lower half, amplify with the
     global oracle conjugated by the relabeling (a phase flip on the whole
     register, diffusion over the compacted search set), and undo the
-    relabeling. The relabeling is returned with the state.
+    relabeling. Every step runs on one register, frozen once at the end.
+    The relabeling is returned with the state.
 
     The conjugated oracle marks the solution only when its lower string is
     a candidate, and reads the idle lower qubits too, so mass that
@@ -194,14 +197,14 @@ def compacted_search_state(
     search = QubitSet(tuple(code_positions) + tuple(range(g, m)))
 
     if prep == "grover":
-        sv = prepare_candidates(problem, counter)
+        sv = prepare_candidates(problem, init_uniform(m), counter)
     elif prep == "basis":
         sv = _basis_prepared(problem)
     else:
         raise ConfigurationError(f"prep must be 'basis' or 'grover', got {prep!r}")
 
     inverse = list(spec.inverse())
-    sv = apply_index_map(sv, spec.mapping, problem.lower_qubits)
+    apply_index_map(sv, spec.mapping, problem.lower_qubits)
     # row z, column y: whether the relabeled pattern (z << g) | y is marked;
     # only candidates may be marked, so a lower string outside the candidate
     # set leaves every relabeled pattern unmarked
@@ -209,6 +212,6 @@ def compacted_search_state(
     marked = np.outer(oracle.upper.mask(), oracle.lower.mask() & problem.candidates.mask())
     conjugated = marked[:, inverse]
     rounds = iteration_count(2 ** len(search), 1)
-    sv = amplify(sv, conjugated.reshape(-1), problem.all_qubits, search, rounds, counter)
-    sv = apply_index_map(sv, inverse, problem.lower_qubits)
-    return CompactedSearch(state=sv, spec=spec)
+    amplify(sv, conjugated.reshape(-1), problem.all_qubits, search, rounds, counter)
+    apply_index_map(sv, inverse, problem.lower_qubits)
+    return CompactedSearch(state=sv.freeze(), spec=spec)

@@ -45,6 +45,7 @@ from .statevector import (
     MAX_QUBITS,
     KernelCrossCheck,
     QubitSet,
+    Register,
     Statevector,
     partition_purity,
     probabilities,
@@ -370,7 +371,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     return artifact, EXIT_OK if run.verified else EXIT_UNVERIFIED
 
 
-def _cnot_equivalence(spec: PermutationSpec) -> dict:
+def _cnot_equivalence(spec: PermutationSpec, source: str = "<memory>") -> dict:
     """Compare the controlled-not realization to the mapping in one pass.
 
     The gates only permute basis states, so one state shows the whole
@@ -378,22 +379,25 @@ def _cnot_equivalence(spec: PermutationSpec) -> dict:
     data pattern s. The realization must carry each amplitude to its
     mapped pattern with the flags back at 0. Deviations are in units of
     that spacing, so a pattern sent anywhere else deviates by at least 1.
+    A relabeling too wide to simulate is a fault of the config at
+    ``source``, in its ``candidates`` field.
     """
     flags = len(spec.transpositions)
     total = spec.width + flags
     if total > MAX_QUBITS:
         raise ConfigurationError(
-            f"controlled-not check needs {total} qubits, limit is {MAX_QUBITS}"
+            f"{source}: field 'candidates': controlled-not check needs {total} qubits, "
+            f"limit is {MAX_QUBITS}"
         )
     weights = np.arange(1, 2**spec.width + 1, dtype=np.float64)
     scale = math.sqrt(float(np.dot(weights, weights)))
     amps = np.zeros(2**total, dtype=np.complex128)
     amps[: 2**spec.width] = weights / scale
-    out = apply_cnot_permutation(
-        Statevector(total, amps), spec, qubit_range(0, spec.width), qubit_range(spec.width, total)
-    )
     expected = np.zeros_like(amps)
-    expected[list(spec.mapping)] = amps[: 2**spec.width]
+    expected[list(spec.mapping)] = weights / scale
+    out = apply_cnot_permutation(
+        Register(total, amps), spec, qubit_range(0, spec.width), qubit_range(spec.width, total)
+    ).freeze()
     return {
         "basis_states": 2**spec.width,
         "flag_qubits": flags,
@@ -401,7 +405,7 @@ def _cnot_equivalence(spec: PermutationSpec) -> dict:
     }
 
 
-def run_verification(config: ExperimentConfig) -> tuple[dict, int]:
+def run_verification(config: ExperimentConfig, source: str = "<memory>") -> tuple[dict, int]:
     """Replay the config's run with every kernel checked against its reference.
 
     Every kernel the replay applies, on any register the simulator can
@@ -409,13 +413,14 @@ def run_verification(config: ExperimentConfig) -> tuple[dict, int]:
     when all agree within tolerance. A permutation config first checks the
     controlled-not realization of its relabeling, a pure function of the
     candidates and the convention, so a relabeling too wide for that check
-    exits 1 before anything is simulated.
+    exits 1 before anything is simulated, naming the config's ``source``.
     """
     problem = config.problem()
     cnot = None
     if config.strategy == "permutation":
         cnot = _cnot_equivalence(
-            build_permutation(problem.candidates.strings(), convention=config.convention)
+            build_permutation(problem.candidates.strings(), convention=config.convention),
+            source,
         )
     with KernelCrossCheck() as check:
         STRATEGY_RUNS[config.strategy](config, problem, QueryCounter())

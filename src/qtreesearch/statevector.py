@@ -2,14 +2,13 @@
 
 Basis indexing is little-endian: qubit q is bit q of the basis index, and
 textual labels therefore print qubit m-1 first. An oracle reaches a kernel
-as a boolean mask over the sub-patterns of the qubits it reads. A kernel
-given a Statevector is functional: it returns a fresh Statevector and leaves
-its input untouched. An amplification loop instead opens one writable
-register (``_Register``), a single copy of its starting amplitudes that each
-kernel updates in place and returns, and freezes it into one final
-Statevector, so its rounds allocate no register-sized array. Read-outs
-stay arrays indexed by basis index: ``sample`` returns one count per index
-and ``top_outcome`` reads that array, so a label is formatted only where a
+as a boolean mask over the sub-patterns of the qubits it reads. A simulated
+state lives in one writable ``Register``: each strategy opens one (uniform,
+or from amplitudes it has filled), every kernel updates that register's
+array in place and returns it, and the strategy freezes it once into the
+read-only Statevector that the read-outs take. Read-outs stay arrays
+indexed by basis index: ``sample`` returns one count per index and
+``top_outcome`` reads that array, so a label is formatted only where a
 report needs it.
 
 Every kernel addresses its qubits through one run view: a reshape, without
@@ -17,16 +16,15 @@ a copy, with one axis per run of consecutive qubits of one kind (in
 ``on``, the target, or neither). A sub-pattern indexes the ``on`` axes, one
 bit field per run, so a phase flip, bit flip or index map reads and writes
 only the sub-patterns it marks or moves, and a diffusion takes its mean
-over the ``on`` axes. On a Statevector a kernel writes one new array, a
-copy of its input or the diffusion's result; on a register it writes the
-register's own array. A Statevector output is norm-checked as it is built;
-a register is norm-checked once per round, by the loop, after the round's
-diffusion. Flips, swaps and index maps only negate or move amplitudes, so
-that one check still sees a fault from any kernel of the round. The
-read-outs ``marginal_distribution`` and ``partition_purity`` instead view
-the amplitudes as a (2**k, rest) matrix whose row p is sub-pattern p
-(``_rows``): the marginal sums each row, and the purity is the squared
-Frobenius norm of that matrix's Gram matrix on its smaller side.
+over the ``on`` axes and overwrites the register with its result. A
+register is norm-checked once per round, by the loop, after the round's
+diffusion, and again when it is frozen. Flips, swaps and index maps only
+negate or move amplitudes, so that one check still sees a fault from any
+kernel of the round. The read-outs ``marginal_distribution`` and
+``partition_purity`` instead view the amplitudes as a (2**k, rest) matrix
+whose row p is sub-pattern p (``_rows``): the marginal sums each row, and
+the purity is the squared Frobenius norm of that matrix's Gram matrix on
+its smaller side.
 
 Every kernel also has an O(dim) reference, used by the cross-check
 context, that computes the same output from basis-index bit arithmetic
@@ -41,7 +39,7 @@ import bisect
 import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,22 +95,36 @@ def _as_qubitset(on: QubitSet | Sequence[int]) -> QubitSet:
     return QubitSet(tuple(on))
 
 
+def _dim(num_qubits: int) -> int:
+    """2**num_qubits, or ConfigurationError outside 1..MAX_QUBITS."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ConfigurationError(f"register size must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    return 2**num_qubits
+
+
+def _as_amplitudes(num_qubits: int, amplitudes) -> np.ndarray:
+    """The amplitudes as a complex array of one entry per basis index."""
+    dim = _dim(num_qubits)
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.shape != (dim,):
+        raise ConfigurationError(f"expected {dim} amplitudes, got shape {amps.shape}")
+    return amps
+
+
 @dataclass(frozen=True)
 class Statevector:
+    """A norm-checked state the read-outs take; its amplitudes are read-only."""
+
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"register size must be in 1..{MAX_QUBITS}, got {self.num_qubits}"
-            )
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
-            raise ConfigurationError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
+        amps = _as_amplitudes(self.num_qubits, self.amplitudes)
         _check_norm(amps)
+        # a read-only view: a kernel given a Statevector raises instead of
+        # writing it, while the array's owner may still write its own
+        amps = amps.view()
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -126,21 +138,27 @@ def _check_norm(amps: np.ndarray) -> None:
         raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
 
-class _Register:
-    """A register one amplification loop owns and the kernels update in place.
+class Register:
+    """The one writable state a kernel acts on, in place.
 
-    Opening it copies the starting state's amplitudes once. A kernel given
-    the register writes into that array and returns the same register,
-    unchecked; the loop calls ``check_norm`` once per round, after the
-    round's diffusion. ``freeze`` hands the array to one final Statevector
-    without copying it; the register is spent after that.
+    ``Register(num_qubits, amplitudes)`` takes an array the caller already
+    owns, without copying it; ``Register.copy_of`` opens one on a copy of a
+    Statevector. A kernel writes into the register's array and returns the
+    same register, unchecked; a loop calls ``check_norm`` once per round,
+    after the round's diffusion. ``freeze`` is the one norm-checked hand-off
+    to a Statevector, which takes the array without a copy; the register is
+    spent after that.
     """
 
     __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, sv: Statevector) -> None:
-        self.num_qubits = sv.num_qubits
-        self.amplitudes = sv.amplitudes.copy()
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+        self.amplitudes = _as_amplitudes(num_qubits, amplitudes)
+        self.num_qubits = num_qubits
+
+    @classmethod
+    def copy_of(cls, sv: Statevector) -> "Register":
+        return cls(sv.num_qubits, sv.amplitudes.copy())
 
     def check_norm(self) -> None:
         """Raise ValidationError unless the register still has unit norm."""
@@ -151,28 +169,17 @@ class _Register:
         return Statevector(self.num_qubits, amps)
 
 
-# a kernel returns the kind of state it was given
-_State = TypeVar("_State", Statevector, _Register)
-
-
-def init_uniform(num_qubits: int) -> Statevector:
-    """Uniform superposition over all basis states."""
-    dim = 2**num_qubits if 1 <= num_qubits <= MAX_QUBITS else 0
-    if not dim:
-        raise ConfigurationError(
-            f"register size must be in 1..{MAX_QUBITS}, got {num_qubits}"
-        )
-    return Statevector(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+def init_uniform(num_qubits: int) -> Register:
+    """A register opened in the uniform superposition over all basis states."""
+    dim = _dim(num_qubits)
+    return Register(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"register size must be in 1..{MAX_QUBITS}, got {num_qubits}"
-        )
-    if not 0 <= index < 2**num_qubits:
+    dim = _dim(num_qubits)
+    if not 0 <= index < dim:
         raise ConfigurationError(f"basis index {index} outside register")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
+    amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return Statevector(num_qubits, amps)
 
@@ -213,33 +220,19 @@ class KernelCrossCheck:
 
 
 def _maybe_crosscheck(
-    label: str, fast: np.ndarray, reference: Callable[[], np.ndarray]
+    label: str, sv: Register, reference: Callable[[], np.ndarray]
 ) -> None:
     check = _ACTIVE_CHECK.get()
     if check is not None:
-        check.record(label, float(np.max(np.abs(fast - reference()))))
+        check.record(label, float(np.max(np.abs(sv.amplitudes - reference()))))
 
 
-def _unwritten(sv: _State) -> Statevector | _Register:
-    """The input as the kernel's reference must read it: under an active
-    cross-check, a register is snapshotted before the kernel writes it."""
-    if isinstance(sv, _Register) and _ACTIVE_CHECK.get() is not None:
-        return Statevector(sv.num_qubits, sv.amplitudes.copy())
-    return sv
-
-
-def _writable(sv: _State) -> np.ndarray:
-    """The array a kernel writes: a register's own, or a Statevector's copy."""
-    return sv.amplitudes if isinstance(sv, _Register) else sv.amplitudes.copy()
-
-
-def _updated(sv: _State, out: np.ndarray) -> _State:
-    """The kernel's result, of the kind it was given: a register as it
-    is, whose loop checks its norm once per round, or a norm-checked
-    Statevector."""
-    if isinstance(sv, _Register):
-        return sv
-    return Statevector(sv.num_qubits, out)
+def _unwritten(sv: Register) -> Statevector | None:
+    """Under an active cross-check, a snapshot of the register before the
+    kernel writes it, for the reference to read; None otherwise."""
+    if _ACTIVE_CHECK.get() is None:
+        return None
+    return Statevector(sv.num_qubits, sv.amplitudes.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +302,8 @@ def _checked_mask(marked, on: QubitSet) -> np.ndarray:
 
 
 def apply_phase_flip(
-    sv: _State, marked: np.ndarray, on: QubitSet | Sequence[int]
-) -> _State:
+    sv: Register, marked: np.ndarray, on: QubitSet | Sequence[int]
+) -> Register:
     """Negate amplitudes whose bits at ``on`` form a marked sub-pattern.
 
     ``marked`` is indexed by the sub-pattern, the int whose bit j is the
@@ -323,19 +316,18 @@ def apply_phase_flip(
     marked = _checked_mask(marked, on)
     shape, axes, _ = _run_view(sv.num_qubits, on)
     before = _unwritten(sv)
-    out = _writable(sv)
-    view = out.reshape(shape)
+    view = sv.amplitudes.reshape(shape)
     patterns = np.flatnonzero(marked)
     # one marked pattern (a flag qubit, a single solution) negates a view in
     # place; several are gathered, negated and scattered back
     if patterns.size == 1:
         patterns = int(patterns[0])
     view[tuple(_pattern_index(len(shape), axes, patterns))] *= -1.0
-    _maybe_crosscheck("phase_flip", out, lambda: dense_phase_flip_matrix(before, marked, on))
-    return _updated(sv, out)
+    _maybe_crosscheck("phase_flip", sv, lambda: dense_phase_flip_matrix(before, marked, on))
+    return sv
 
 
-def apply_diffusion(sv: _State, on: QubitSet | Sequence[int]) -> _State:
+def apply_diffusion(sv: Register, on: QubitSet | Sequence[int]) -> Register:
     """Reflect about the mean within the ``on`` sub-register.
 
     Acts blockwise: for every fixed pattern of the remaining qubits the
@@ -349,19 +341,17 @@ def apply_diffusion(sv: _State, on: QubitSet | Sequence[int]) -> _State:
     before = _unwritten(sv)
     view = sv.amplitudes.reshape(shape)
     mean = view.mean(axis=tuple(axis for axis, _, _ in axes), keepdims=True)
-    # a register is overwritten in place; a Statevector's result is new
-    in_place = view if isinstance(sv, _Register) else None
-    out = np.subtract(2.0 * mean, view, out=in_place).reshape(-1)
-    _maybe_crosscheck("diffusion", out, lambda: dense_diffusion_matrix(before, on))
-    return _updated(sv, out)
+    np.subtract(2.0 * mean, view, out=view)
+    _maybe_crosscheck("diffusion", sv, lambda: dense_diffusion_matrix(before, on))
+    return sv
 
 
 def apply_conditional_bit_flip(
-    sv: _State,
+    sv: Register,
     target: int,
     marked: np.ndarray,
     on: QubitSet | Sequence[int],
-) -> _State:
+) -> Register:
     """Flip the target qubit where the ``on`` bits form a marked sub-pattern.
 
     A classical reversible update (an X gate under an oracle control);
@@ -377,8 +367,7 @@ def apply_conditional_bit_flip(
     marked = _checked_mask(marked, on)
     shape, axes, target_axis = _run_view(sv.num_qubits, on, target)
     before = _unwritten(sv)
-    out = _writable(sv)
-    view = out.reshape(shape)
+    view = sv.amplitudes.reshape(shape)
     patterns = np.flatnonzero(marked)
     # the target is indexed by an array even with no controls, so both
     # reads below are copies and the swap cannot alias
@@ -389,14 +378,14 @@ def apply_conditional_bit_flip(
     low, high = tuple(low), tuple(high)
     view[low], view[high] = view[high], view[low]
     _maybe_crosscheck(
-        "conditional_bit_flip", out, lambda: dense_bit_flip_matrix(before, target, marked, on)
+        "conditional_bit_flip", sv, lambda: dense_bit_flip_matrix(before, target, marked, on)
     )
-    return _updated(sv, out)
+    return sv
 
 
 def apply_index_map(
-    sv: _State, mapping: Sequence[int], on: QubitSet | Sequence[int]
-) -> _State:
+    sv: Register, mapping: Sequence[int], on: QubitSet | Sequence[int]
+) -> Register:
     """Relabel the ``on`` sub-register basis by a bijective mapping."""
     on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
@@ -406,14 +395,13 @@ def apply_index_map(
         raise ValidationError(f"mapping is not a bijection over {2**k} patterns")
     shape, axes, _ = _run_view(sv.num_qubits, on)
     before = _unwritten(sv)
-    out = _writable(sv)
-    view = out.reshape(shape)
+    view = sv.amplitudes.reshape(shape)
     # only the patterns that move are read (as a copy) and written
     moved = np.flatnonzero(arr != np.arange(2**k))
     source = tuple(_pattern_index(len(shape), axes, moved))
     view[tuple(_pattern_index(len(shape), axes, arr[moved]))] = view[source]
-    _maybe_crosscheck("index_map", out, lambda: dense_index_map_matrix(before, mapping, on))
-    return _updated(sv, out)
+    _maybe_crosscheck("index_map", sv, lambda: dense_index_map_matrix(before, mapping, on))
+    return sv
 
 
 def probabilities(sv: Statevector) -> np.ndarray:

@@ -14,6 +14,8 @@ that problem description:
 
 All pipelines count oracle and diffusion applications through QueryCounter.
 Each amplification builds its oracle mask once and reuses it every round.
+Each simulated state is one Register: the pipeline opens it, runs every
+stage on it in place, and freezes it once into the Statevector it returns.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .oracles import (
 from .statevector import (
     MAX_QUBITS,
     QubitSet,
+    Register,
     Statevector,
-    _Register,
     apply_conditional_bit_flip,
     apply_diffusion,
     apply_phase_flip,
@@ -168,19 +170,18 @@ def measure_and_verify(
 
 
 def prepare_candidates(
-    problem: SearchProblem, counter: QueryCounter | None = None
-) -> Statevector:
-    """Uniform register with the candidate set amplified on the lower half."""
+    problem: SearchProblem, sv: Register, counter: QueryCounter | None = None
+) -> Register:
+    """Amplify the candidate set on qubits 0..g-1 of a register uniform over them."""
     rounds = iteration_count(2**problem.g, problem.v)
-    sv = init_uniform(problem.m)
     return run_grover(sv, problem.candidates.mask(), problem.lower_qubits, rounds, counter)
 
 
 def _amplify_upper_globally(
     problem: SearchProblem,
-    sv: Statevector,
+    sv: Register,
     counter: QueryCounter | None,
-) -> Statevector:
+) -> Register:
     """Repeat [global phase flip; upper diffusion] the standard round count.
 
     The oracle reads all m qubits while the diffusion reflects only the
@@ -211,8 +212,8 @@ def entangled_nested(
     solution carries roughly 1/v of the mass.
     """
     require_matching_candidate(problem)
-    sv = prepare_candidates(problem, counter)
-    return _amplify_upper_globally(problem, sv, counter)
+    sv = prepare_candidates(problem, init_uniform(problem.m), counter)
+    return _amplify_upper_globally(problem, sv, counter).freeze()
 
 
 def product_subspace_search(
@@ -224,11 +225,11 @@ def product_subspace_search(
     the result is a product state pairing the upper target with every
     candidate, matching or not.
     """
-    sv = prepare_candidates(problem, counter)
+    sv = prepare_candidates(problem, init_uniform(problem.m), counter)
     upper_rounds = iteration_count(2 ** (problem.m - problem.g), 1)
     return run_grover(
         sv, problem.global_oracle.upper.mask(), problem.upper_qubits, upper_rounds, counter
-    )
+    ).freeze()
 
 
 def iterative_trial_state(
@@ -243,9 +244,10 @@ def iterative_trial_state(
     """
     oracle_k = candidate_oracle(problem.candidates, k)
     lower_rounds = iteration_count(2**problem.g, 1)
-    sv = init_uniform(problem.m)
-    sv = run_grover(sv, oracle_k.mask(), problem.lower_qubits, lower_rounds, counter)
-    return _amplify_upper_globally(problem, sv, counter)
+    sv = run_grover(
+        init_uniform(problem.m), oracle_k.mask(), problem.lower_qubits, lower_rounds, counter
+    )
+    return _amplify_upper_globally(problem, sv, counter).freeze()
 
 
 class IterativeOutcome(NamedTuple):
@@ -299,10 +301,6 @@ class CompositeLayout:
     def total_qubits(self) -> int:
         return self.g + self.v * (self.block_width + 1)
 
-    @property
-    def lower(self) -> QubitSet:
-        return qubit_range(0, self.g)
-
     def flag(self, k: int) -> int:
         self._check(k)
         return self.g + (k - 1) * (self.block_width + 1)
@@ -345,15 +343,15 @@ def disentangled_layout(problem: SearchProblem) -> CompositeLayout:
     return layout
 
 
-def _flags_cleared_uniform(layout: CompositeLayout) -> Statevector:
-    """Uniform over candidate register and blocks, flags pinned to 0."""
+def _flags_cleared_uniform(layout: CompositeLayout) -> Register:
+    """A register uniform over candidate register and blocks, flags at 0."""
     total = layout.total_qubits
     amps = np.zeros(2**total, dtype=np.complex128)
     # one (block, flag) axis pair per block, highest block first, then the
     # candidate register
     view = amps.reshape((2**layout.block_width, 2) * layout.v + (2**layout.g,))
     view[(slice(None), 0) * layout.v] = 1.0 / math.sqrt(2 ** (total - layout.v))
-    return Statevector(total, amps)
+    return Register(total, amps)
 
 
 def block_distribution(
@@ -381,9 +379,9 @@ def disentangled_search(
     input bound to candidate k, phase-kicked through a flag ancilla that is
     computed, sign-flipped, and uncomputed every round. Nothing couples the
     blocks to the candidate register, so the state stays product across
-    every block boundary and the flags return to 0 exactly. The block
-    rounds run on one writable register that every kernel call updates in
-    place, norm-checked once per round after the diffusion, and frozen into
+    every block boundary and the flags return to 0 exactly. The candidate
+    rounds and every block round run on the one register the search opens,
+    norm-checked once per round after the diffusion and frozen once into
     the returned state.
 
     Each block's marginal and flag excitation is read once and returned
@@ -392,42 +390,39 @@ def disentangled_search(
     block exists (the upper target is absent or ambiguous).
     """
     layout = disentangled_layout(problem)
-    sv = _flags_cleared_uniform(layout)
-    prep_rounds = iteration_count(2**problem.g, problem.v)
-    sv = run_grover(sv, problem.candidates.mask(), layout.lower, prep_rounds, counter)
+    sv = prepare_candidates(problem, _flags_cleared_uniform(layout), counter)
 
     upper_rounds = iteration_count(2**layout.block_width, 1)
     # row z, column y: whether the global oracle marks (z << g) | y
     global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
     flag_set = np.array([False, True])
-    sv = _Register(sv)
     for k in range(1, problem.v + 1):
         # the global oracle with its lower input fixed to candidate k
         bound = global_mask[:, problem.candidates.candidate(k)]
         flag = layout.flag(k)
         block = layout.block(k)
         for _ in range(upper_rounds):
-            sv = apply_conditional_bit_flip(sv, flag, bound, block)
-            sv = apply_phase_flip(sv, flag_set, qubits(flag))
-            sv = apply_conditional_bit_flip(sv, flag, bound, block)
-            sv = apply_diffusion(sv, block)
+            apply_conditional_bit_flip(sv, flag, bound, block)
+            apply_phase_flip(sv, flag_set, qubits(flag))
+            apply_conditional_bit_flip(sv, flag, bound, block)
+            apply_diffusion(sv, block)
             sv.check_norm()
             if counter is not None:
                 counter.count_oracle()
                 counter.count_diffusion()
-    sv = sv.freeze()
+    state = sv.freeze()
 
     blocks = range(1, problem.v + 1)
-    excitations = tuple(flag_excitation(problem, sv, k) for k in blocks)
+    excitations = tuple(flag_excitation(problem, state, k) for k in blocks)
     for k, leak in zip(blocks, excitations):
         if leak > 1e-9:
             raise ValidationError(f"flag {k} retains probability {leak} after uncompute")
 
-    distributions = tuple(block_distribution(problem, sv, k) for k in blocks)
+    distributions = tuple(block_distribution(problem, state, k) for k in blocks)
     target = problem.upper_target_bits
     above = [k for k in blocks if distributions[k - 1][target] > DECISION_THRESHOLD]
     winning = above[0] if len(above) == 1 else None
-    return DisentangledOutcome(winning, sv, distributions, excitations)
+    return DisentangledOutcome(winning, state, distributions, excitations)
 
 
 def recover_candidate(
@@ -449,7 +444,7 @@ def recover_candidate(
     rounds = iteration_count(2**problem.g, 1)
     sv = run_grover(
         init_uniform(problem.g), oracle_k.mask(), qubit_range(0, problem.g), rounds, counter
-    )
+    ).freeze()
     return measure_and_verify(
         problem, sv, shots, (seed, k), counter, k, upper_bits=problem.upper_target_bits
     ).result

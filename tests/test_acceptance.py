@@ -26,6 +26,7 @@ from qtreesearch.permutation import (
 )
 from qtreesearch.runner import run_experiment, run_sweep, run_verification
 from qtreesearch.statevector import (
+    Register,
     basis_state,
     init_uniform,
     partition_purity,
@@ -82,7 +83,7 @@ def _four_candidate_problem() -> SearchProblem:
 def test_criterion_01_one_rotation_exactness():
     def simulate() -> float:
         sv = run_grover(init_uniform(2), np.arange(4) == 2, qubit_range(0, 2), rounds=1)
-        return float(probabilities(sv)[2])
+        return float(probabilities(sv.freeze())[2])
 
     simulate()
     timings = []
@@ -111,7 +112,7 @@ def test_criterion_02_analytic_success_law():
                 continue
             marked = np.arange(n) < k
             for rounds in range(0, 9):
-                sv = run_grover(init_uniform(m), marked, qubit_range(0, m), rounds)
+                sv = run_grover(init_uniform(m), marked, qubit_range(0, m), rounds).freeze()
                 simulated = float(probabilities(sv)[:k].sum())
                 predicted = success_probability(n, k, rounds)
                 worst = max(worst, abs(simulated - predicted))
@@ -262,7 +263,9 @@ def test_criterion_07_permutation():
     for spec in (low, high):
         data, flags = qubit_range(0, 3), qubit_range(3, 5)
         for source in range(8):
-            out = apply_cnot_permutation(basis_state(5, source), spec, data, flags)
+            out = apply_cnot_permutation(
+                Register.copy_of(basis_state(5, source)), spec, data, flags
+            )
             expected = basis_state(5, spec.mapping[source])
             cnot_worst = max(
                 cnot_worst, float(abs(out.amplitudes - expected.amplitudes).max())

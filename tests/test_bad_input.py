@@ -29,6 +29,18 @@ WIDE_ENTANGLED = {
     "lower_oracle": [-10, 9, -8, 7, -6, 5, -4, 3, -2, 1],
     "candidates": ["0000000011", "0101010101", "1111100000", "1010101010"],
 }
+# g = 16 data qubits: four candidates need at most four relabeling swaps,
+# each with a flag qubit, so the controlled-not check fits in 20 qubits
+WIDE_PERMUTATION = {
+    "strategy": "permutation",
+    "m": 20,
+    "g": 16,
+    "upper_oracle": [4, -3, 2, -1],
+    "lower_oracle": [16, -15, 14, -13, 12, -11, 10, -9, 8, -7, 6, -5, 4, -3, 2, -1],
+    "candidates": [
+        "0110101010110101", "1110101011001011", "1010101011110000", "1101010101001100"
+    ],
+}
 TOO_MANY_SHOTS = 100000000000000000000
 
 # (base config, changed fields, field named in the message, message)
@@ -149,6 +161,16 @@ BAD_CONFIGS = {
     ),
 }
 
+# configs that ``run`` accepts and ``verify`` rejects, in the same form
+BAD_VERIFY_CONFIGS = {
+    "candidates-cnot-check-too-wide": (
+        WIDE_PERMUTATION,
+        {"candidates": WIDE_PERMUTATION["candidates"] + ["0011001100110011"]},
+        "candidates",
+        "controlled-not check needs 21 qubits, limit is 20",
+    ),
+}
+
 # (argv, field named in the message, message); no file is named
 BAD_OVERRIDES = {
     "run-shots-zero": (
@@ -212,13 +234,28 @@ def test_bad_config_exits_one_naming_file_and_field(
     )
 
 
+@pytest.mark.parametrize("case", sorted(BAD_VERIFY_CONFIGS))
+def test_bad_verify_config_exits_one_naming_file_and_field(
+    case, tmp_path, capsys, strategy_calls
+):
+    base, changes, field, message = BAD_VERIFY_CONFIGS[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(json.dumps(dict(base, **changes)))
+    _exits_one_with(
+        ("verify", "--config", str(path)),
+        f"{path}: field {field!r}: {message}",
+        capsys,
+        strategy_calls,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(BAD_OVERRIDES))
 def test_bad_override_exits_one_naming_the_field(case, capsys, strategy_calls):
     argv, field, message = BAD_OVERRIDES[case]
     _exits_one_with(argv, f"field {field!r}: {message}", capsys, strategy_calls)
 
 
-@pytest.mark.parametrize("base", [PRODUCT, DISENTANGLED, WIDE_ENTANGLED])
+@pytest.mark.parametrize("base", [PRODUCT, DISENTANGLED, WIDE_ENTANGLED, WIDE_PERMUTATION])
 def test_each_fault_is_the_only_one(base):
     # the bases are valid, so each case above has exactly one bad field
     config = config_from_mapping(base)

@@ -371,7 +371,10 @@ class TestVerify:
             ' "1101010101001100", "0011001100110011"]\n',
         )
         assert run_cli("verify", "--config", config) == EXIT_CONFIG_ERROR
-        assert "controlled-not check needs 21 qubits, limit is 20" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {config}: field 'candidates': controlled-not check needs 21 qubits, "
+            "limit is 20\n"
+        )
         assert calls == []
 
 

@@ -19,6 +19,7 @@ from qtreesearch.grover import (
 )
 from qtreesearch.statevector import (
     KernelCrossCheck,
+    Register,
     Statevector,
     apply_diffusion,
     apply_phase_flip,
@@ -86,7 +87,7 @@ class TestSuccessProbability:
             st.sets(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
         )
         marked = np.isin(np.arange(n), list(chosen))
-        sv = run_grover(init_uniform(m), marked, qubit_range(0, m), r)
+        sv = run_grover(init_uniform(m), marked, qubit_range(0, m), r).freeze()
         mass = float(probabilities(sv)[marked].sum())
         assert mass == pytest.approx(success_probability(n, k, r), abs=1e-9)
 
@@ -94,7 +95,9 @@ class TestSuccessProbability:
 class TestRunGrover:
     def test_two_round_search_on_three_qubits(self):
         counter = QueryCounter()
-        sv = run_grover(init_uniform(3), np.arange(8) == 0b101, qubit_range(0, 3), 2, counter)
+        sv = run_grover(
+            init_uniform(3), np.arange(8) == 0b101, qubit_range(0, 3), 2, counter
+        ).freeze()
         assert probabilities(sv)[0b101] == pytest.approx(0.9453125, abs=1e-6)
         assert counter.oracle_calls == 2
         assert counter.diffusion_calls == 2
@@ -103,7 +106,7 @@ class TestRunGrover:
     def test_subregister_search_leaves_the_rest_untouched(self):
         # amplify 11 on the low two qubits of a 4-qubit register: the high
         # half keeps its uniform marginal and the cut stays product
-        sv = run_grover(init_uniform(4), np.arange(4) == 0b11, qubits(0, 1), 1)
+        sv = run_grover(init_uniform(4), np.arange(4) == 0b11, qubits(0, 1), 1).freeze()
         assert marginal_probability(sv, qubits(0, 1), 0b11) == pytest.approx(1.0)
         for pattern in range(4):
             assert marginal_probability(sv, qubits(2, 3), pattern) == pytest.approx(0.25)
@@ -112,7 +115,8 @@ class TestRunGrover:
     def test_zero_rounds_is_identity(self):
         sv = init_uniform(3)
         out = run_grover(sv, np.arange(8) == 0, qubit_range(0, 3), 0)
-        assert np.allclose(out.amplitudes, sv.amplitudes)
+        assert out is sv
+        assert np.allclose(out.amplitudes, 1 / math.sqrt(8))
 
     def test_rotation_angle_range(self):
         assert rotation_angle(4, 4) == pytest.approx(math.pi / 2)
@@ -132,33 +136,32 @@ MARKED = np.random.default_rng(9).random(16) < 0.3
 
 class TestAmplifyLoop:
     @pytest.mark.parametrize("rounds", [0, 1, 3])
-    def test_the_input_state_is_left_untouched_and_unshared(self, rounds):
+    def test_the_rounds_update_the_given_register_and_return_it(self, rounds):
         sv = _random_state(6, 1)
-        before = sv.amplitudes.tobytes()
-        out = amplify(sv, MARKED, FLIP_ON, DIFFUSE_ON, rounds)
-        assert sv.amplitudes.tobytes() == before
-        assert not np.shares_memory(out.amplitudes, sv.amplitudes)
-        if rounds == 0:
-            assert out.amplitudes.tobytes() == before
+        register = Register.copy_of(sv)
+        array = register.amplitudes
+        assert amplify(register, MARKED, FLIP_ON, DIFFUSE_ON, rounds) is register
+        assert register.amplitudes is array
+        assert (register.amplitudes.tobytes() == sv.amplitudes.tobytes()) == (rounds == 0)
 
-    def test_rounds_match_functional_kernel_calls_under_a_cross_check(self):
+    def test_rounds_match_kernel_calls_under_a_cross_check(self):
         sv = _random_state(6, 2)
         with KernelCrossCheck() as looped:
-            out = amplify(sv, MARKED, FLIP_ON, DIFFUSE_ON, 3)
-        with KernelCrossCheck() as functional:
-            expected = sv
+            out = amplify(Register.copy_of(sv), MARKED, FLIP_ON, DIFFUSE_ON, 3)
+        with KernelCrossCheck() as called:
+            expected = Register.copy_of(sv)
             for _ in range(3):
-                expected = apply_phase_flip(expected, MARKED, FLIP_ON)
-                expected = apply_diffusion(expected, DIFFUSE_ON)
+                apply_phase_flip(expected, MARKED, FLIP_ON)
+                apply_diffusion(expected, DIFFUSE_ON)
         assert [label for label, _ in looped.records] == ["phase_flip", "diffusion"] * 3
-        assert looped.records == functional.records
+        assert looped.records == called.records
         assert looped.max_deviation <= 1e-12
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch):
         # the third flip's output is scaled; the loop checks the register's
         # norm once per round, after the diffusion, so the fault raises at
-        # the end of that same round, not when the loop freezes its register
+        # the end of that same round, not when its caller freezes the register
         flips, diffusions = [], []
 
         def scaled_third_flip(sv, marked, on):
@@ -175,5 +178,5 @@ class TestAmplifyLoop:
         monkeypatch.setattr(grover, "apply_phase_flip", scaled_third_flip)
         monkeypatch.setattr(grover, "apply_diffusion", counted_diffusion)
         with pytest.raises(ValidationError, match="norm"):
-            amplify(_random_state(6, 3), MARKED, FLIP_ON, DIFFUSE_ON, 5)
+            amplify(Register.copy_of(_random_state(6, 3)), MARKED, FLIP_ON, DIFFUSE_ON, 5)
         assert (len(flips), len(diffusions)) == (3, 3)

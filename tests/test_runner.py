@@ -2,6 +2,7 @@
 trial state and relabeling built once per run, and oracles reaching the
 kernels as masks, never as per-pattern queries."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -67,6 +68,37 @@ def _count_calls(monkeypatch, name, modules):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _expected_states(artifact) -> int:
+    """Simulated states of a run: one per iterative trial, one per
+    disentangled composite plus one for the recovered winner, else one."""
+    if artifact["strategy"] == "iterative":
+        return len(artifact["trials"])
+    if artifact["strategy"] == "disentangled":
+        return 1 + (artifact["winning_index"] is not None)
+    return 1
+
+
+@pytest.mark.parametrize(
+    "name, prep",
+    [(name, "grover") for name in sorted(VERIFY_COVERAGE)] + [("fig_d_el_v_3_6", "basis")],
+)
+def test_each_simulated_state_is_frozen_once(monkeypatch, name, prep):
+    # each strategy opens one register per simulated state, runs every
+    # stage on it and freezes it once: the freeze builds the run's only
+    # Statevectors (prep is read by the permutation strategy alone)
+    config = dataclasses.replace(load_config(resolve_config(name)), prep=prep)
+    built = []
+    original = svmod.Statevector.__post_init__
+
+    def counted(self):
+        built.append(self.num_qubits)
+        original(self)
+
+    monkeypatch.setattr(svmod.Statevector, "__post_init__", counted)
+    artifact, _ = run_experiment(config)
+    assert len(built) == _expected_states(artifact)
 
 
 def test_iterative_run_simulates_each_trial_once(monkeypatch):

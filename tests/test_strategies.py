@@ -13,7 +13,13 @@ from qtreesearch import strategies
 from qtreesearch.errors import ConfigurationError, PreconditionError, ValidationError
 from qtreesearch.grover import QueryCounter
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
-from qtreesearch.statevector import partition_purity, probability_map, qubits, sample
+from qtreesearch.statevector import (
+    init_uniform,
+    partition_purity,
+    probability_map,
+    qubits,
+    sample,
+)
 from qtreesearch.strategies import (
     DECISION_THRESHOLD,
     SearchProblem,
@@ -79,7 +85,7 @@ class TestSearchProblem:
 class TestPrepareCandidates:
     def test_quarter_marked_prep_is_exact(self):
         problem = five_qubit_problem()
-        sv = prepare_candidates(problem)
+        sv = prepare_candidates(problem, init_uniform(problem.m)).freeze()
         probs = probability_map(sv)
         # all candidate mass, spread uniformly over upper values
         for upper in range(4):
@@ -218,7 +224,6 @@ class TestDisentangledSearch:
     def test_layout_positions(self):
         layout = disentangled_layout(six_qubit_problem())
         assert layout.total_qubits == 11
-        assert layout.lower.indices == (0, 1, 2)
         assert layout.flag(1) == 3
         assert layout.block(1).indices == (4, 5, 6)
         assert layout.flag(2) == 7
@@ -237,23 +242,23 @@ class TestDisentangledSearch:
         # prep (1) + two rounds in each of two blocks (4)
         assert counter.oracle_calls == 5
 
-    def test_block_rounds_leave_the_prepared_state_untouched(self, monkeypatch):
-        # the block loop updates its own register: the prepared candidate
-        # state it starts from keeps its bytes, and the result shares no
-        # memory with it
+    def test_block_rounds_continue_on_the_prepared_register(self, monkeypatch):
+        # the candidate rounds and the block rounds share one register: the
+        # returned state holds the prepared register's own array, and the
+        # register is spent once it is frozen
         prepared = []
-        real = strategies.run_grover
+        real = strategies.prepare_candidates
 
         def recording(*args, **kwargs):
-            state = real(*args, **kwargs)
-            prepared.append((state, state.amplitudes.tobytes()))
-            return state
+            register = real(*args, **kwargs)
+            prepared.append((register, register.amplitudes))
+            return register
 
-        monkeypatch.setattr(strategies, "run_grover", recording)
+        monkeypatch.setattr(strategies, "prepare_candidates", recording)
         state = disentangled_search(six_qubit_problem()).state
-        [(start, before)] = prepared
-        assert start.amplitudes.tobytes() == before
-        assert not np.shares_memory(state.amplitudes, start.amplitudes)
+        [(register, array)] = prepared
+        assert state.amplitudes.base is array
+        assert register.amplitudes is None
 
     @pytest.mark.parametrize("block, round_", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch, block, round_):
@@ -301,7 +306,7 @@ class TestDisentangledSearch:
         problem = six_qubit_problem()
         state = disentangled_search(problem).state
         layout = disentangled_layout(problem)
-        assert partition_purity(state, layout.lower) == pytest.approx(1.0, abs=1e-9)
+        assert partition_purity(state, problem.lower_qubits) == pytest.approx(1.0, abs=1e-9)
         assert partition_purity(state, layout.block(1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_null_case_spreads_every_block(self):

@@ -3,9 +3,10 @@
 bench/tracing.py names the functions it wraps as ``module.function`` and
 reads a few of their positional arguments. A renamed function or a moved
 argument would fail ``bench/run.py --trace 1`` and nothing else, so these
-tests read the tracer's own lists and resolve each entry. The tracer also
-counts a loop's kernel calls only while the loop calls the kernels through
-its module's names, which the last tests check by rebinding those names.
+tests read the tracer's own lists and resolve each entry, and run every
+bundled config under the installed tracer. The tracer also counts a loop's
+kernel calls only while the loop calls the kernels through its module's
+names, which the last tests check by rebinding those names.
 """
 
 import importlib
@@ -14,10 +15,13 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qtreesearch import grover, strategies
+from qtreesearch import grover, runner, strategies
+from qtreesearch.cli import render_json
+from qtreesearch.config import bundled_configs, load_config
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
-from qtreesearch.statevector import init_uniform, qubit_range
+from qtreesearch.statevector import Register, init_uniform, qubit_range
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -61,12 +65,26 @@ def test_arguments_the_tracer_reads_keep_their_place():
     assert _positional("cli.write_output")[0] == "text"
 
 
+@pytest.mark.parametrize("name", sorted(bundled_configs()))
+def test_a_traced_run_of_each_bundled_config_matches_the_untraced_one(name):
+    config = load_config(bundled_configs()[name])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced, traced_exit = runner.run_experiment(config)
+    untraced, untraced_exit = runner.run_experiment(config)
+    assert render_json(traced) == render_json(untraced)
+    assert traced_exit == untraced_exit
+    # every kernel's width is read from the register it is given
+    assert tracer.counts["amplitudes_touched"] > 0
+
+
 def _count_calls(monkeypatch, module, names):
     """Rebind each kernel name in ``module`` to a wrapper that records the
     register width of every call, as the tracer reads it from args[0]."""
     widths = {name: [] for name in names}
     for name in names:
         def wrapper(*args, _kernel=getattr(module, name), _seen=widths[name], **kwargs):
+            assert isinstance(args[0], Register)
             _seen.append(args[0].num_qubits)
             return _kernel(*args, **kwargs)
 
@@ -77,7 +95,8 @@ def _count_calls(monkeypatch, module, names):
 def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
     widths = _count_calls(monkeypatch, grover, ("apply_phase_flip", "apply_diffusion"))
     marked = np.arange(32) % 7 == 3
-    grover.amplify(init_uniform(6), marked, qubit_range(0, 5), qubit_range(2, 6), 4)
+    register = init_uniform(6)
+    assert grover.amplify(register, marked, qubit_range(0, 5), qubit_range(2, 6), 4) is register
     assert widths == {"apply_phase_flip": [6] * 4, "apply_diffusion": [6] * 4}
 
 
@@ -97,6 +116,7 @@ def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
         ),
         candidates=PartialCandidateSet.from_strings(["011", "101"]),
     )
+    # the search opens one register and hands it to every kernel it calls
     strategies.disentangled_search(problem)
     assert prep == {"apply_phase_flip": [11], "apply_diffusion": [11]}
     # per block round: compute the flag, flip its phase, uncompute, diffuse
