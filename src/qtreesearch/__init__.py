@@ -42,7 +42,6 @@ from .oracles import (
     PartialCandidateSet,
     bits_to_int,
     candidate_oracle,
-    eval_oracle,
     int_to_bits,
 )
 from .permutation import (
@@ -68,11 +67,9 @@ from .statevector import (
     qubit_range,
     qubits,
     sample,
-    top_outcome,
 )
 from .strategies import (
     SearchProblem,
-    SearchResult,
     block_distribution,
     disentangled_search,
     entangled_nested,

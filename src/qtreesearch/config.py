@@ -40,20 +40,6 @@ _CHOICES = {
     "prep": PREP_CHOICES,
     "convention": CONVENTIONS,
 }
-_REQUIRED_KEYS = ("strategy", "m", "g", "upper_oracle", "lower_oracle", "candidates")
-_OPTIONAL_KEYS = (
-    "v",
-    "shots",
-    "seed",
-    "format",
-    "prep",
-    "convention",
-    "shots_per_trial",
-    "purity_cuts",
-    "name",
-    "description",
-    "endianness",
-)
 
 
 def _is_integer(value) -> bool:
@@ -214,6 +200,16 @@ class ExperimentConfig:
         data["v"] = self.v
         data["endianness"] = "little"
         return data
+
+
+# a field without a default is required; ``v`` and ``endianness`` are keys
+# that only the mapping carries
+_REQUIRED_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING
+)
+_OPTIONAL_KEYS = ("v", "endianness") + tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in _REQUIRED_KEYS
+)
 
 
 def config_from_mapping(data, source: str = "<memory>") -> ExperimentConfig:

@@ -3,7 +3,9 @@
 Every oracle has one quantum form, ``mask()``: a boolean array of length
 ``2**width`` whose entry p says whether the oracle marks pattern p. The
 kernels take only that mask. ``__call__`` is the classical query on one
-pattern, which measured strategies spend to check an outcome.
+int pattern, which measured strategies spend to check an outcome. No
+oracle reads a label: ``bits_to_int`` parses a config's bit-strings, and
+``int_to_bits`` formats a pattern where a report writes one.
 
 Conventions, fixed package-wide:
 
@@ -22,20 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
 
-def _check_bits(bits: str, what: str = "bit-string") -> None:
-    if not isinstance(bits, str) or any(c not in "01" for c in bits):
-        raise ConfigurationError(f"{what} must contain only '0'/'1': {bits!r}")
-
-
-def concat(upper_bits: str, lower_bits: str) -> str:
-    """Join an upper and a lower bit-string, upper bits on the left."""
-    _check_bits(upper_bits, "upper bits")
-    _check_bits(lower_bits, "lower bits")
-    return upper_bits + lower_bits
-
 
 def bits_to_int(bits: str) -> int:
-    _check_bits(bits)
+    if not isinstance(bits, str) or any(c not in "01" for c in bits):
+        raise ConfigurationError(f"bit-string must contain only '0'/'1': {bits!r}")
     if not bits:
         raise ConfigurationError("empty bit-string has no integer value")
     return int(bits, 2)
@@ -87,15 +79,14 @@ class ConjunctionOracle:
         return cls(width=width, literals=tuple(literals))
 
     @classmethod
+    def marking(cls, pattern: int, width: int) -> ConjunctionOracle:
+        """Fully specified conjunction marking exactly one pattern."""
+        return cls(width, tuple((q, bool((pattern >> q) & 1)) for q in range(width)))
+
+    @classmethod
     def matching(cls, bits: str) -> ConjunctionOracle:
         """Fully specified conjunction marking exactly one bit-string."""
-        _check_bits(bits)
-        width = len(bits)
-        value = bits_to_int(bits)
-        return cls(
-            width=width,
-            literals=tuple((q, bool((value >> q) & 1)) for q in range(width)),
-        )
+        return cls.marking(bits_to_int(bits), len(bits))
 
     def __call__(self, pattern: int) -> bool:
         return all(((pattern >> p) & 1) == v for p, v in self.literals)
@@ -162,7 +153,7 @@ class ConcatenatedOracle:
 
 @dataclass(frozen=True)
 class PartialCandidateSet:
-    """Ordered set of distinct lower-register candidate strings.
+    """Ordered set of distinct lower-register candidate patterns.
 
     Doubles as the membership oracle used when the candidate register is
     prepared by amplitude amplification.
@@ -224,15 +215,4 @@ class PartialCandidateSet:
 
 def candidate_oracle(candidates: PartialCandidateSet, k: int) -> ConjunctionOracle:
     """Fully specified conjunction marking only the k-th candidate (1-based)."""
-    value = candidates.candidate(k)
-    return ConjunctionOracle.matching(int_to_bits(value, candidates.width))
-
-
-def eval_oracle(oracle, bits: str) -> int:
-    """Classical evaluation of a single-input oracle on one bit-string."""
-    _check_bits(bits)
-    if len(bits) != oracle.width:
-        raise ConfigurationError(
-            f"bit-string width {len(bits)} does not match oracle width {oracle.width}"
-        )
-    return int(bool(oracle(bits_to_int(bits))))
+    return ConjunctionOracle.marking(candidates.candidate(k), candidates.width)

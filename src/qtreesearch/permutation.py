@@ -1,6 +1,6 @@
-"""Basis relabeling that packs candidate strings into a small code block.
+"""Basis relabeling that packs candidate patterns into a small code block.
 
-The k-th candidate string is sent to the k-th code word; everything else is
+The k-th candidate pattern is sent to the k-th code word; everything else is
 arranged by swapping, one candidate at a time, whichever state currently
 holds the wanted code word. The swap record doubles as a recipe for a
 controlled-not realization with one flag ancilla per swap.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, amplify, iteration_count
-from .oracles import bits_to_int
+from .oracles import PartialCandidateSet
 from .statevector import (
     QubitSet,
     Register,
@@ -45,8 +45,6 @@ class PermutationSpec:
     transpositions: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.convention not in CONVENTIONS:
-            raise ConfigurationError(f"unknown convention {self.convention!r}")
         n = 2**self.width
         if len(self.mapping) != n or sorted(self.mapping) != list(range(n)):
             raise ValidationError(f"mapping is not a bijection over {n} patterns")
@@ -67,34 +65,22 @@ def candidate_code(k: int, code_width: int, width: int, convention: str) -> int:
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def build_permutation(h_paths, convention: str = "standard") -> PermutationSpec:
-    """Relabeling that sends the k-th path string to the k-th code word.
+def build_permutation(
+    candidates: PartialCandidateSet, convention: str = "standard"
+) -> PermutationSpec:
+    """Relabeling that sends the k-th candidate to the k-th code word.
 
     Built as a sequence of pattern swaps: at each step the candidate's
     current image trades places with whichever pattern holds the wanted
     code word. Already-placed candidates are never disturbed because their
     code words are never traded away again.
     """
-    paths = list(h_paths)
-    if not paths:
-        raise ConfigurationError("need at least one path string")
-    widths = {len(p) for p in paths}
-    if len(widths) != 1:
-        raise ConfigurationError(f"path strings must share one width, got {widths}")
-    width = widths.pop()
-    values = [bits_to_int(p) for p in paths]
-    if len(set(values)) != len(values):
-        raise ValidationError(f"duplicate path strings: {paths}")
-
-    v = len(values)
-    code_width = (v - 1).bit_length()
-    if convention not in CONVENTIONS:
-        raise ConfigurationError(f"unknown convention {convention!r}")
-
+    width = candidates.width
+    code_width = (candidates.size - 1).bit_length()
     mapping = list(range(2**width))
     inverse = list(range(2**width))
     swaps: list[tuple[int, int]] = []
-    for k, h in enumerate(values, start=1):
+    for k, h in enumerate(candidates.candidates, start=1):
         target = candidate_code(k, code_width, width, convention)
         current = mapping[h]
         if current == target:
@@ -188,7 +174,7 @@ def compacted_search_state(
     """
     if counter is None:
         counter = QueryCounter()
-    spec = build_permutation(problem.candidates.strings(), convention=convention)
+    spec = build_permutation(problem.candidates, convention=convention)
     g, m, c = problem.g, problem.m, spec.code_width
     if convention == "little_endian":
         code_positions = range(g - c, g)

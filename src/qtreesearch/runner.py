@@ -3,7 +3,7 @@
 Every strategy is one entry in ``STRATEGY_RUNS``, keyed by its config name.
 An entry runs the strategy's pipeline (amplify the candidates, complete
 them on the upper half, measure and check classically) and returns one
-``Run`` record: the final state, the verified result if the strategy
+``Run`` record: the final state, the ``Measurement`` if the strategy
 measures one, a builder for the strategy's artifact sections (histogram,
 trials, blocks, relabeling) and the key of its cost model.
 ``run_experiment`` assembles the artifact from that record;
@@ -33,7 +33,7 @@ from .config import ExperimentConfig
 from .costs import BUDGETED, cost
 from .errors import ConfigurationError, ValidationError
 from .grover import QueryCounter, iteration_count
-from .oracles import ConjunctionOracle
+from .oracles import ConjunctionOracle, int_to_bits
 from .permutation import (
     PermutationSpec,
     apply_cnot_permutation,
@@ -53,8 +53,8 @@ from .statevector import (
     sample,
 )
 from .strategies import (
+    Measurement,
     SearchProblem,
-    SearchResult,
     disentangled_search,
     entangled_nested,
     iterative_search,
@@ -158,7 +158,7 @@ class Run:
     sections: Callable[[], dict]
     cost_key: str
     verified: bool
-    result: SearchResult | None = None
+    result: Measurement | None = None
 
 
 def _sampled(sv: Statevector, config: ExperimentConfig) -> dict:
@@ -190,12 +190,13 @@ def _run_iterative(
     )
 
     def sections() -> dict:
+        labels = problem.candidates.strings()
         trials = [
             {
                 "candidate_index": k,
-                "candidate": problem.candidates.strings()[k - 1],
+                "candidate": labels[k - 1],
                 "top_outcome": trial.top,
-                "accepted": trial.result.verified,
+                "accepted": trial.verified,
                 "histogram": merge_counts(trial.state, trial.counts),
             }
             for k, trial in enumerate(outcome.trials, start=1)
@@ -224,13 +225,14 @@ def _run_disentangled(
         )
 
     def sections() -> dict:
+        width = problem.m - problem.g
         blocks = [
             {
                 "index": k,
                 "candidate": candidate,
-                "target_probability": float(dist[problem.upper_target_bits]),
+                "target_probability": float(dist[problem.upper_target]),
                 "flag_excitation": float(excitation),
-                "distribution": {b: float(p) for b, p in sorted(dist.items())},
+                "distribution": {int_to_bits(z, width): p for z, p in enumerate(dist.tolist())},
             }
             for k, (candidate, dist, excitation) in enumerate(
                 zip(problem.candidates.strings(), outcome.distributions, outcome.flag_excitations),
@@ -279,8 +281,8 @@ def _run_permutation(
         search.state,
         sections,
         f"permutation-{config.prep}-prep",
-        measured.result.verified,
-        result=measured.result,
+        measured.verified,
+        result=measured,
     )
 
 
@@ -314,7 +316,7 @@ def _queries_section(counter: QueryCounter) -> dict:
     }
 
 
-def _result_section(result: SearchResult) -> dict:
+def _result_section(result: Measurement) -> dict:
     return {
         "found": result.found,
         "candidate_index": result.candidate_index,
@@ -419,7 +421,7 @@ def run_verification(config: ExperimentConfig, source: str = "<memory>") -> tupl
     cnot = None
     if config.strategy == "permutation":
         cnot = _cnot_equivalence(
-            build_permutation(problem.candidates.strings(), convention=config.convention),
+            build_permutation(problem.candidates, convention=config.convention),
             source,
         )
     with KernelCrossCheck() as check:

@@ -7,8 +7,8 @@ state lives in one writable ``Register``: each strategy opens one (uniform,
 or from amplitudes it has filled), every kernel updates that register's
 array in place and returns it, and the strategy freezes it once into the
 read-only Statevector that the read-outs take. Read-outs stay arrays
-indexed by basis index: ``sample`` returns one count per index and
-``top_outcome`` reads that array, so a label is formatted only where a
+indexed by basis index: ``sample`` returns one count per index, and a
+measured pattern stays that index, so a label is formatted only where a
 report needs it.
 
 Every kernel addresses its qubits through one run view: a reshape, without
@@ -427,21 +427,6 @@ def sample(sv: Statevector, shots: int, seed) -> np.ndarray:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
     p = probabilities(sv)
     return np.random.default_rng(seed).multinomial(shots, p / p.sum())
-
-
-def top_outcome(counts: np.ndarray) -> str:
-    """Label of the most frequent basis index in a ``sample`` count array.
-
-    Ties break toward the smallest index, which is the lexicographically
-    smallest label, since labels have a fixed width.
-    """
-    counts = np.asarray(counts)
-    num_qubits = counts.size.bit_length() - 1
-    if counts.ndim != 1 or num_qubits < 1 or counts.size != 2**num_qubits:
-        raise ConfigurationError(
-            f"counts must be one entry per basis index, got shape {counts.shape}"
-        )
-    return format(int(np.argmax(counts)), f"0{num_qubits}b")
 
 
 def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:

@@ -1,7 +1,7 @@
 """Search strategies over a register split into lower and upper halves.
 
 A problem is a global conjunction oracle factored as upper(z) and lower(y)
-plus an ordered set of lower-half candidate strings. Four pipelines share
+plus an ordered set of lower-half candidate patterns. Four pipelines share
 that problem description:
 
 - product_subspace_search amplifies the halves independently (no nesting);
@@ -16,6 +16,10 @@ All pipelines count oracle and diffusion applications through QueryCounter.
 Each amplification builds its oracle mask once and reuses it every round.
 Each simulated state is one Register: the pipeline opens it, runs every
 stage on it in place, and freezes it once into the Statevector it returns.
+Patterns stay ints: a measured state's top outcome is a basis index, which
+one oracle query checks, and the one ``Measurement`` record holds the
+state, its counts, the checked label and the verdict. Block read-outs are
+arrays indexed by pattern.
 """
 
 from __future__ import annotations
@@ -28,14 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
 from .grover import QueryCounter, amplify, iteration_count, run_grover
-from .oracles import (
-    ConcatenatedOracle,
-    PartialCandidateSet,
-    candidate_oracle,
-    concat,
-    eval_oracle,
-    int_to_bits,
-)
+from .oracles import ConcatenatedOracle, PartialCandidateSet, candidate_oracle, int_to_bits
 from .statevector import (
     MAX_QUBITS,
     QubitSet,
@@ -50,7 +47,6 @@ from .statevector import (
     qubit_range,
     qubits,
     sample,
-    top_outcome,
 )
 
 DECISION_THRESHOLD = 0.8
@@ -111,31 +107,25 @@ class SearchProblem:
         return self.candidates.index_of(self.lower_solution)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a measured strategy run."""
-
-    found: str | None
-    candidate_index: int | None
-    verified: bool
-    queries: QueryCounter
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.verified and self.found is None:
-            raise ValidationError("a verified result must carry the found string")
-
-
 class Measurement(NamedTuple):
-    """One measured state: its sampled counts, the checked string, the verdict.
+    """One measured state, its classical check, and the trials it took.
 
-    ``counts`` is the ``sample`` array, one count per basis index.
+    ``counts`` is the ``sample`` array, one count per basis index; ``top``
+    is the label of the checked m-bit pattern. ``candidate_index`` is
+    reported only when that pattern verifies.
     """
 
     state: Statevector
     counts: np.ndarray
     top: str
-    result: SearchResult
+    verified: bool
+    candidate_index: int | None
+    trials: int
+
+    @property
+    def found(self) -> str | None:
+        """The verified label, or None."""
+        return self.top if self.verified else None
 
 
 def measure_and_verify(
@@ -146,27 +136,29 @@ def measure_and_verify(
     counter: QueryCounter,
     candidate_index: int | None,
     trials: int = 1,
-    upper_bits: str = "",
 ) -> Measurement:
     """Sample the state and classically check its top outcome.
 
-    The checked string is ``upper_bits`` followed by the top outcome, so a
-    lower-half-only state is completed by the known upper target. The check
-    spends one oracle query; the result reports ``candidate_index`` only
-    when the string verifies.
+    The top outcome is the most sampled basis index, the smallest on a
+    tie. A g-qubit state holds only the lower half, so its pattern is
+    completed by the known upper target. The check spends one oracle query
+    on the m-bit pattern.
     """
     counts = sample(sv, shots, seed=seed)
-    top = concat(upper_bits, top_outcome(counts))
+    pattern = int(np.argmax(counts))
+    if sv.num_qubits == problem.g:
+        pattern |= problem.upper_target << problem.g
+    elif sv.num_qubits != problem.m:
+        raise ConfigurationError(
+            f"a {sv.num_qubits}-qubit state is neither the lower half nor the "
+            f"{problem.m}-qubit register"
+        )
     counter.count_oracle()
-    verified = bool(eval_oracle(problem.global_oracle, top))
-    result = SearchResult(
-        found=top if verified else None,
-        candidate_index=candidate_index if verified else None,
-        verified=verified,
-        queries=counter,
-        trials=trials,
+    verified = problem.global_oracle(pattern)
+    return Measurement(
+        sv, counts, int_to_bits(pattern, problem.m), verified,
+        candidate_index if verified else None, trials,
     )
-    return Measurement(state=sv, counts=counts, top=top, result=result)
 
 
 def prepare_candidates(
@@ -254,9 +246,9 @@ class IterativeOutcome(NamedTuple):
     trials: tuple[Measurement, ...]
 
     @property
-    def result(self) -> SearchResult:
-        """The last trial's result: verified, or the exhausted search."""
-        return self.trials[-1].result
+    def result(self) -> Measurement:
+        """The last trial: verified, or the exhausted search."""
+        return self.trials[-1]
 
 
 def iterative_search(
@@ -280,7 +272,7 @@ def iterative_search(
         trials.append(
             measure_and_verify(problem, sv, shots_per_trial, (seed, k), counter, k, trials=k)
         )
-        if trials[-1].result.verified:
+        if trials[-1].verified:
             break
     return IterativeOutcome(trials=tuple(trials))
 
@@ -318,13 +310,14 @@ class CompositeLayout:
 class DisentangledOutcome(NamedTuple):
     """The scored composite state and its per-block read-out.
 
-    ``distributions[k - 1]`` is block k's exact marginal and
-    ``flag_excitations[k - 1]`` the probability that flag k stayed at 1.
+    ``distributions[k - 1]`` is block k's exact marginal, indexed by
+    pattern, and ``flag_excitations[k - 1]`` the probability that flag k
+    stayed at 1.
     """
 
     winning_index: int | None
     state: Statevector
-    distributions: tuple[dict[str, float], ...]
+    distributions: tuple[np.ndarray, ...]
     flag_excitations: tuple[float, ...]
 
 
@@ -354,13 +347,9 @@ def _flags_cleared_uniform(layout: CompositeLayout) -> Register:
     return Register(total, amps)
 
 
-def block_distribution(
-    problem: SearchProblem, state: Statevector, k: int
-) -> dict[str, float]:
-    """Exact marginal distribution of block k's qubits."""
-    layout = disentangled_layout(problem)
-    dist = marginal_distribution(state, layout.block(k)).tolist()
-    return {int_to_bits(z, layout.block_width): p for z, p in enumerate(dist)}
+def block_distribution(problem: SearchProblem, state: Statevector, k: int) -> np.ndarray:
+    """Exact marginal distribution of block k's qubits, indexed by pattern."""
+    return marginal_distribution(state, disentangled_layout(problem).block(k))
 
 
 def flag_excitation(problem: SearchProblem, state: Statevector, k: int) -> float:
@@ -419,7 +408,7 @@ def disentangled_search(
             raise ValidationError(f"flag {k} retains probability {leak} after uncompute")
 
     distributions = tuple(block_distribution(problem, state, k) for k in blocks)
-    target = problem.upper_target_bits
+    target = problem.upper_target
     above = [k for k in blocks if distributions[k - 1][target] > DECISION_THRESHOLD]
     winning = above[0] if len(above) == 1 else None
     return DisentangledOutcome(winning, state, distributions, excitations)
@@ -431,7 +420,7 @@ def recover_candidate(
     shots: int = 256,
     seed: int = 0,
     counter: QueryCounter | None = None,
-) -> SearchResult:
+) -> Measurement:
     """Fresh lower-half search for candidate k, completing the solution.
 
     The block scoring identifies which candidate wins; this final search
@@ -445,6 +434,4 @@ def recover_candidate(
     sv = run_grover(
         init_uniform(problem.g), oracle_k.mask(), qubit_range(0, problem.g), rounds, counter
     ).freeze()
-    return measure_and_verify(
-        problem, sv, shots, (seed, k), counter, k, upper_bits=problem.upper_target_bits
-    ).result
+    return measure_and_verify(problem, sv, shots, (seed, k), counter, k)

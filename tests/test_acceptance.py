@@ -196,14 +196,14 @@ def test_criterion_06_disentangled_blocks():
     problem = _six_qubit_problem()
     outcome = disentangled_search(problem)
     match = problem.matching_candidate_index()
-    target = problem.upper_target_bits
+    target = problem.upper_target
     distributions = {
         k: block_distribution(problem, outcome.state, k)
         for k in range(1, problem.v + 1)
     }
-    matching_prob = distributions[match].get(target, 0.0)
+    matching_prob = float(distributions[match][target])
     other_probs = [
-        distributions[k].get(target, 0.0) for k in distributions if k != match
+        float(distributions[k][target]) for k in distributions if k != match
     ]
     flag_clean = [
         flag_excitation(problem, outcome.state, k) for k in range(1, problem.v + 1)
@@ -217,7 +217,8 @@ def test_criterion_06_disentangled_blocks():
     _report(
         6,
         ok,
-        f"matching block {match} measures {target} at {matching_prob:.9f} exactly, "
+        f"matching block {match} measures {problem.upper_target_bits} at "
+        f"{matching_prob:.9f} exactly, "
         f"others at {[f'{value:.6f}' for value in other_probs]}, "
         f"worst flag excitation {max(flag_clean):.2e}",
     )
@@ -252,8 +253,9 @@ HIGH_CODE_MATRIX = np.array(
 
 
 def test_criterion_07_permutation():
-    low = build_permutation(["011", "101"], convention="standard")
-    high = build_permutation(["011", "101"], convention="little_endian")
+    paths = PartialCandidateSet.from_strings(["011", "101"])
+    low = build_permutation(paths, convention="standard")
+    high = build_permutation(paths, convention="little_endian")
     # column y of a relabeling matrix carries its 1 in row mapping[y]
     matrices_ok = low.mapping == tuple(
         np.argmax(LOW_CODE_MATRIX, axis=0)
@@ -277,7 +279,7 @@ def test_criterion_07_permutation():
     result = measure_and_verify(
         problem, compacted_search_state(problem, counter).state, 256, 1, counter,
         problem.matching_candidate_index(),
-    ).result
+    )
     ok = (
         matrices_ok
         and cnot_worst <= 1e-12

@@ -12,8 +12,6 @@ from qtreesearch.oracles import (
     PartialCandidateSet,
     bits_to_int,
     candidate_oracle,
-    concat,
-    eval_oracle,
     int_to_bits,
 )
 
@@ -43,9 +41,6 @@ class TestBitstrings:
     def test_round_trip_property(self, width, data):
         value = data.draw(st.integers(min_value=0, max_value=2**width - 1))
         assert bits_to_int(int_to_bits(value, width)) == value
-
-    def test_concat_puts_upper_on_the_left(self):
-        assert concat("10", "101") == "10101"
 
     def test_rejects_non_binary(self):
         with pytest.raises(ConfigurationError):
@@ -148,27 +143,24 @@ class TestConcatenatedOracle:
             ConcatenatedOracle(upper, lower)
 
 
-class TestEvalOracle:
-    def test_string_evaluation(self):
+class TestClassicalQuery:
+    def test_pattern_evaluation(self):
         oracle = ConjunctionOracle.from_signed_literals([5, -4, 3, -2, 1], width=5)
-        assert eval_oracle(oracle, "10101") == 1
-        assert eval_oracle(oracle, "10011") == 0
+        assert oracle(0b10101) is True
+        assert oracle(0b10011) is False
 
     def test_partial_oracle(self):
         oracle = ConjunctionOracle.from_signed_literals([-3, 2, 1], width=3)
-        assert eval_oracle(oracle, "011") == 1
+        assert oracle(0b011) is True
 
-    def test_concatenated_splits_the_input(self):
+    def test_concatenated_reads_upper_in_the_high_bits(self):
         upper = ConjunctionOracle.from_signed_literals([2, -1], width=2)
         lower = ConjunctionOracle.from_signed_literals([3, -2, 1], width=3)
         oracle = ConcatenatedOracle(upper, lower)
-        assert eval_oracle(oracle, "10101") == 1
-        assert eval_oracle(oracle, "10001") == 0
-
-    def test_rejects_width_mismatch(self):
-        oracle = ConjunctionOracle.from_signed_literals([1], width=3)
-        with pytest.raises(ConfigurationError):
-            eval_oracle(oracle, "01")
+        assert oracle((0b10 << 3) | 0b101) is True
+        assert oracle(0b10101) is True
+        assert oracle(0b10001) is False
+        assert oracle((0b01 << 3) | 0b101) is False
 
 
 class TestPartialCandidateSet:
@@ -199,11 +191,20 @@ class TestPartialCandidateSet:
         with pytest.raises(ValidationError):
             PartialCandidateSet.from_strings(["011", "011"])
 
+    def test_rejects_mixed_widths(self):
+        with pytest.raises(ConfigurationError):
+            PartialCandidateSet.from_strings(["011", "0101"])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ConfigurationError):
+            PartialCandidateSet.from_strings([])
+
     def test_candidate_oracle_matches_one_string(self):
         cands = PartialCandidateSet.from_strings(["011", "101"])
         sub = candidate_oracle(cands, 2)
         assert isinstance(sub, ConjunctionOracle)
         assert {p for p in range(8) if sub(p)} == {0b101}
+        assert sub == ConjunctionOracle.matching("101")
 
 
 @st.composite

@@ -16,7 +16,7 @@ import qtreesearch.strategies as stratmod
 from qtreesearch.cli import render_json
 from qtreesearch.config import STRATEGY_CHOICES, config_from_mapping, load_config, resolve_config
 from qtreesearch.errors import ValidationError
-from qtreesearch.oracles import ConcatenatedOracle
+from qtreesearch.oracles import ConcatenatedOracle, PartialCandidateSet
 from qtreesearch.runner import (
     STRATEGY_RUNS,
     Histogram,
@@ -196,9 +196,14 @@ def test_histograms_compare_by_width_and_arrays():
         hash(histogram)
 
 
+TEN_BIT_PATHS = PartialCandidateSet.from_strings(
+    ["0110101010", "1110101011", "1010101011", "1101010101"]
+)
+
+
 def test_cnot_check_covers_a_relabeling_wider_than_twelve_qubits():
     # g = 10 data qubits and 4 flags: one pass sees all 1024 data patterns
-    spec = permmod.build_permutation(["0110101010", "1110101011", "1010101011", "1101010101"])
+    spec = permmod.build_permutation(TEN_BIT_PATHS)
     report = runmod._cnot_equivalence(spec)
     assert report == {"basis_states": 1024, "flag_qubits": 4, "max_deviation": 0.0}
 
@@ -206,7 +211,7 @@ def test_cnot_check_covers_a_relabeling_wider_than_twelve_qubits():
 @pytest.mark.parametrize("a, b", [(0, 1), (5, 1023)])
 def test_cnot_check_sees_any_two_patterns_traded(a, b):
     # a mapping the gates do not realize: two of its entries traded
-    spec = permmod.build_permutation(["0110101010", "1110101011", "1010101011", "1101010101"])
+    spec = permmod.build_permutation(TEN_BIT_PATHS)
     mapping = list(spec.mapping)
     mapping[a], mapping[b] = mapping[b], mapping[a]
     wrong = permmod.PermutationSpec(

@@ -32,7 +32,6 @@ from qtreesearch.statevector import (
     qubit_range,
     qubits,
     sample,
-    top_outcome,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -330,7 +329,6 @@ class TestMeasurement:
         sv = basis_state(3, 0b101)
         counts = sample(sv, shots=64, seed=0)
         assert counts.tolist() == [0, 0, 0, 0, 0, 64, 0, 0]
-        assert top_outcome(counts) == "101"
 
     def test_labels_match_the_per_index_reference(self):
         # same entries, in the same (ascending index) order, as one loop over
@@ -341,16 +339,6 @@ class TestMeasurement:
         assert list(probability_map(sv).items()) == expected
         counts = np.random.default_rng(2).multinomial(100, p / p.sum())
         assert sample(sv, 100, seed=2).tolist() == counts.tolist()
-
-    def test_top_outcome_tie_breaks_lexicographically(self):
-        # index 1 ("01") and index 2 ("10") tie; the smaller label wins
-        assert top_outcome(np.array([3, 5, 5, 0])) == "01"
-        assert top_outcome(np.array([0, 0, 7, 7, 1, 0, 0, 7])) == "010"
-
-    def test_top_outcome_rejects_a_non_register_count_array(self):
-        for bad in (np.array([], dtype=int), np.array([4]), np.array([1, 2, 3])):
-            with pytest.raises(ConfigurationError):
-                top_outcome(bad)
 
     def test_marginal_probability(self):
         bell = Statevector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))

@@ -14,6 +14,7 @@ from qtreesearch.errors import ConfigurationError, PreconditionError, Validation
 from qtreesearch.grover import QueryCounter
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
 from qtreesearch.statevector import (
+    basis_state,
     init_uniform,
     partition_purity,
     probability_map,
@@ -22,8 +23,8 @@ from qtreesearch.statevector import (
 )
 from qtreesearch.strategies import (
     DECISION_THRESHOLD,
+    Measurement,
     SearchProblem,
-    SearchResult,
     block_distribution,
     disentangled_layout,
     disentangled_search,
@@ -31,6 +32,7 @@ from qtreesearch.strategies import (
     flag_excitation,
     iterative_search,
     iterative_trial_state,
+    measure_and_verify,
     product_subspace_search,
     prepare_candidates,
     recover_candidate,
@@ -75,11 +77,59 @@ class TestSearchProblem:
                 candidates=PartialCandidateSet.from_strings(["01", "10"]),
             )
 
-    def test_result_consistency_guard(self):
-        with pytest.raises(ValidationError):
-            SearchResult(
-                found=None, candidate_index=1, verified=True, queries=QueryCounter(), trials=1
-            )
+
+class TestMeasureAndVerify:
+    def test_found_is_the_top_label_only_when_verified(self):
+        sv = basis_state(5, 0b10101)
+        counts = np.zeros(32, dtype=np.int64)
+        assert Measurement(sv, counts, "10101", True, 2, 1).found == "10101"
+        assert Measurement(sv, counts, "10101", False, None, 1).found is None
+
+    def test_lower_half_state_is_completed_by_the_upper_target(self):
+        problem = five_qubit_problem()
+        counter = QueryCounter()
+        measured = measure_and_verify(problem, basis_state(3, 0b101), 16, 0, counter, 2)
+        assert measured.top == "10101"
+        assert measured.verified and measured.found == "10101"
+        assert measured.candidate_index == 2
+        assert counter.oracle_calls == 1
+        wrong = measure_and_verify(problem, basis_state(3, 0b011), 16, 0, counter, 1)
+        assert wrong.top == "10011"
+        assert not wrong.verified and wrong.candidate_index is None
+
+    @pytest.mark.parametrize(
+        "tied, top",
+        [((0b10101, 0b11101), "10101"), ((0b00101, 0b10101), "00101")],
+        ids=["solution-first", "decoy-first"],
+    )
+    def test_a_tie_goes_to_the_smallest_index(self, monkeypatch, tied, top):
+        counts = np.zeros(32, dtype=np.int64)
+        counts[list(tied)] = 7
+        counts[0b00000] = 3
+        monkeypatch.setattr(strategies, "sample", lambda sv, shots, seed: counts)
+        problem = five_qubit_problem()
+        measured = measure_and_verify(problem, init_uniform(5).freeze(), 17, 0, QueryCounter(), 2)
+        assert measured.top == top
+        assert measured.verified == (top == "10101")
+
+    def test_the_check_is_one_query_on_the_pattern(self, monkeypatch):
+        queried = []
+        real = ConcatenatedOracle.__call__
+
+        def counting(self, pattern):
+            queried.append(pattern)
+            return real(self, pattern)
+
+        monkeypatch.setattr(ConcatenatedOracle, "__call__", counting)
+        problem = five_qubit_problem()
+        measure_and_verify(problem, basis_state(3, 0b101), 8, 0, QueryCounter(), 2)
+        measure_and_verify(problem, basis_state(5, 0b01011), 8, 0, QueryCounter(), None)
+        assert queried == [0b10101, 0b01011]
+        assert all(type(p) is int for p in queried)
+
+    def test_rejects_a_state_of_another_width(self):
+        with pytest.raises(ConfigurationError, match="4-qubit state"):
+            measure_and_verify(five_qubit_problem(), basis_state(4, 0), 8, 0, QueryCounter(), None)
 
 
 class TestPrepareCandidates:
@@ -161,21 +211,28 @@ class TestEntangledNested:
 class TestIterativeSearch:
     def test_matching_candidate_first(self):
         problem = five_qubit_problem(candidate_strings=("101", "011"))
-        result = iterative_search(problem, seed=7).result
+        counter = QueryCounter()
+        outcome = iterative_search(problem, seed=7, counter=counter)
+        result = outcome.result
+        assert result is outcome.trials[-1]
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 1
         assert result.trials == 1
-        assert result.queries.oracle_calls == 4  # 2 lower + 1 upper + 1 check
+        assert counter.oracle_calls == 4  # 2 lower + 1 upper + 1 check
 
     def test_mismatch_first_then_success(self):
         problem = five_qubit_problem()
-        result = iterative_search(problem, seed=7).result
+        counter = QueryCounter()
+        outcome = iterative_search(problem, seed=7, counter=counter)
+        result = outcome.result
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 2
         assert result.trials == 2
-        assert result.queries.oracle_calls == 8
+        assert counter.oracle_calls == 8
+        first = outcome.trials[0]
+        assert not first.verified and first.found is None and first.candidate_index is None
 
     def test_mismatch_trial_spreads_over_the_upper_half(self):
         problem = five_qubit_problem()
@@ -214,10 +271,11 @@ class TestIterativeSearch:
                 global_oracle=ConcatenatedOracle(upper, lower),
                 candidates=PartialCandidateSet.from_strings([decoy, lower_bits]),
             )
-            result = iterative_search(problem, seed=13).result
+            counter = QueryCounter()
+            result = iterative_search(problem, seed=13, counter=counter).result
             assert result.verified
             assert result.found == "10" + lower_bits
-            assert result.queries.oracle_calls <= 2 * (2 + 1 + 1)
+            assert counter.oracle_calls <= 2 * (2 + 1 + 1)
 
 
 class TestDisentangledSearch:
@@ -236,8 +294,8 @@ class TestDisentangledSearch:
         assert outcome.winning_index == 1
         dist1 = block_distribution(problem, outcome.state, 1)
         dist2 = block_distribution(problem, outcome.state, 2)
-        assert dist1["001"] == pytest.approx(TWO_ROUND_EIGHT)
-        for pattern, p in dist2.items():
+        assert dist1[0b001] == pytest.approx(TWO_ROUND_EIGHT)
+        for p in dist2:
             assert p == pytest.approx(0.125, abs=1e-12)
         # prep (1) + two rounds in each of two blocks (4)
         assert counter.oracle_calls == 5
@@ -314,7 +372,7 @@ class TestDisentangledSearch:
         outcome = disentangled_search(problem)
         assert outcome.winning_index is None
         for k in (1, 2):
-            for p in block_distribution(problem, outcome.state, k).values():
+            for p in block_distribution(problem, outcome.state, k):
                 assert p == pytest.approx(0.125, abs=1e-12)
 
     def test_threshold_separates_cleanly(self):
@@ -322,8 +380,17 @@ class TestDisentangledSearch:
         state = disentangled_search(problem).state
         dist1 = block_distribution(problem, state, 1)
         dist2 = block_distribution(problem, state, 2)
-        assert dist1["001"] > DECISION_THRESHOLD
-        assert max(dist2.values()) < DECISION_THRESHOLD
+        assert dist1[0b001] > DECISION_THRESHOLD
+        assert max(dist2) < DECISION_THRESHOLD
+
+    def test_outcome_distributions_are_arrays_indexed_by_pattern(self):
+        problem = six_qubit_problem()
+        outcome = disentangled_search(problem)
+        for k in (1, 2):
+            dist = outcome.distributions[k - 1]
+            assert isinstance(dist, np.ndarray) and dist.shape == (8,)
+            assert np.array_equal(dist, block_distribution(problem, outcome.state, k))
+        assert outcome.distributions[0][problem.upper_target] == pytest.approx(TWO_ROUND_EIGHT)
 
     def test_requires_two_candidates(self):
         with pytest.raises(PreconditionError):
@@ -343,11 +410,13 @@ class TestDisentangledSearch:
 
     def test_recover_candidate_completes_the_solution(self):
         problem = six_qubit_problem()
-        result = recover_candidate(problem, 1, seed=5)
+        counter = QueryCounter()
+        result = recover_candidate(problem, 1, seed=5, counter=counter)
+        assert isinstance(result, Measurement) and result.state.num_qubits == problem.g
         assert result.verified
         assert result.found == "001011"
         assert result.candidate_index == 1
-        assert result.queries.oracle_calls == 3
+        assert counter.oracle_calls == 3
 
     def test_recover_wrong_candidate_fails_verification(self):
         problem = six_qubit_problem()
