@@ -1,8 +1,9 @@
 """Experiment configuration: file loading, field validation, bundled presets.
 
 Configs are flat YAML (JSON parses too, being a YAML subset). Bit-strings
-must be quoted in YAML, otherwise they resolve as numbers. Unknown keys are
-rejected so typos fail loudly instead of silently using defaults.
+must be quoted in YAML, otherwise they resolve as numbers. Unknown keys and
+keys given twice are rejected so typos fail loudly instead of silently
+using defaults or the last value.
 
 ``ExperimentConfig`` is the one validator. Building one checks every
 field's type and value, builds the search problem, and checks the width of
@@ -245,17 +246,31 @@ def config_from_mapping(data, source: str = "<memory>") -> ExperimentConfig:
     return config
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, except that a key given twice is a fault, not an override."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(node.value):
+            keys = [self.construct_object(key) for key, _ in node.value]
+            twice = next(key for key in keys if keys.count(key) > 1)
+            raise ConfigurationError(f"field {twice!r}: given twice")
+        return mapping
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse a YAML or JSON config file."""
+    """Parse a UTF-8 YAML or JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return config_from_mapping(data, source=str(path))
 
 

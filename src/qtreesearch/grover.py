@@ -1,23 +1,27 @@
 """Amplitude amplification on a full register or a sub-register.
 
-The oracle arrives as a boolean mask over the sub-register patterns, built
-once by the caller and reused by every round; each flip+diffuse round
-spends one oracle call and one diffusion call, tallied by an optional
-QueryCounter so experiment drivers can report query budgets.
-Classical verification steps elsewhere tick the same oracle_calls counter:
-a query is a query however it is addressed.
+A search is a sequence of ``Stage`` records, which ``amplify``, the one
+round loop, runs. A stage's oracle is a boolean mask over sub-register
+patterns, built once and reused by every round, and ``Stage.standard``
+states the round rule. Each round spends one oracle call and one diffusion
+call, tallied by an optional QueryCounter; classical verification steps
+elsewhere tick the same oracle_calls counter: a query is a query however
+it is addressed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .statevector import QubitSet, Register, apply_diffusion, apply_phase_flip
+from .statevector import QubitSet, Register, apply_conditional_bit_flip, qubits
+from .statevector import apply_diffusion, apply_phase_flip
+
+_FLAG_SET = np.array([False, True])
 
 
 @dataclass
@@ -64,46 +68,58 @@ def success_probability(num_states: int, num_marked: int, iterations: int) -> fl
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+class Stage(NamedTuple):
+    """``rounds`` repetitions of [oracle ``marked`` on ``flip_on``; diffusion on ``diffuse_on``].
+
+    A mask that also reads qubits outside ``diffuse_on`` lets their
+    amplitudes steer which patterns of the diffused qubits grow. With a
+    ``flag`` qubit the oracle is a phase kick: the mask marks the flag,
+    the flag's phase flips, and the mask unmarks it.
+    """
+
+    marked: np.ndarray
+    flip_on: QubitSet | Sequence[int]
+    diffuse_on: QubitSet | Sequence[int]
+    rounds: int
+    flag: int | None = None
+
+    @classmethod
+    def standard(cls, marked, flip_on, diffuse_on, num_marked=1, flag=None) -> Stage:
+        """A stage of r(2**len(diffuse_on), num_marked) rounds."""
+        rounds = iteration_count(2 ** len(diffuse_on), num_marked)
+        return cls(marked, flip_on, diffuse_on, rounds, flag)
+
+
 def run_grover(
-    sv: Register,
-    marked: np.ndarray,
-    on: QubitSet | Sequence[int],
-    rounds: int,
+    sv: Register, marked: np.ndarray, on: QubitSet | Sequence[int], rounds: int,
     counter: QueryCounter | None = None,
 ) -> Register:
-    """Apply `rounds` repetitions of [phase flip; diffusion] on `on`.
-
-    ``marked`` is the oracle mask over the sub-patterns of ``on``.
-    Amplifies whatever projection of the register's state the mask marks;
-    the caller opens the register and chooses the round count.
-    """
-    return amplify(sv, marked, on, on, rounds, counter)
+    """Apply `rounds` repetitions of [phase flip; diffusion] on `on`: one stage."""
+    return amplify(sv, (Stage(marked, on, on, rounds),), counter)
 
 
 def amplify(
-    sv: Register,
-    marked: np.ndarray,
-    flip_on: QubitSet | Sequence[int],
-    diffuse_on: QubitSet | Sequence[int],
-    rounds: int,
-    counter: QueryCounter | None = None,
+    sv: Register, stages: Sequence[Stage], counter: QueryCounter | None = None
 ) -> Register:
-    """Repeat [phase flip by ``marked`` on ``flip_on``; diffusion on ``diffuse_on``].
-
-    A mask that also reads qubits outside ``diffuse_on`` lets their
-    amplitudes steer which patterns of the diffused qubits grow.
+    """Run every round of every stage, in order.
 
     The rounds update the given register in place, and its norm is
     checked once per round, after the diffusion. The same register is
     returned, unfrozen, for the caller's next stage.
     """
-    if rounds < 0:
-        raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-    for _ in range(rounds):
-        apply_phase_flip(sv, marked, flip_on)
-        apply_diffusion(sv, diffuse_on)
-        sv.check_norm()
-        if counter is not None:
-            counter.count_oracle()
-            counter.count_diffusion()
+    for stage in stages:
+        if stage.rounds < 0:
+            raise ConfigurationError(f"rounds must be >= 0, got {stage.rounds}")
+        for _ in range(stage.rounds):
+            if stage.flag is None:
+                apply_phase_flip(sv, stage.marked, stage.flip_on)
+            else:
+                apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
+                apply_phase_flip(sv, _FLAG_SET, qubits(stage.flag))
+                apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
+            apply_diffusion(sv, stage.diffuse_on)
+            sv.check_norm()
+            if counter is not None:
+                counter.count_oracle()
+                counter.count_diffusion()
     return sv

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .grover import QueryCounter, amplify, iteration_count
+from .grover import QueryCounter, Stage, amplify
 from .oracles import PartialCandidateSet
 from .statevector import (
     QubitSet,
@@ -196,8 +196,7 @@ def compacted_search_state(
     # set leaves every relabeled pattern unmarked
     oracle = problem.global_oracle
     marked = np.outer(oracle.upper.mask(), oracle.lower.mask() & problem.candidates.mask())
-    conjugated = marked[:, inverse]
-    rounds = iteration_count(2 ** len(search), 1)
-    amplify(sv, conjugated.reshape(-1), problem.all_qubits, search, rounds, counter)
+    compacted = Stage.standard(marked[:, inverse].reshape(-1), problem.all_qubits, search)
+    amplify(sv, (compacted,), counter)
     apply_index_map(sv, inverse, problem.lower_qubits)
     return CompactedSearch(state=sv.freeze(), spec=spec)

@@ -32,7 +32,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .costs import BUDGETED, cost
 from .errors import ConfigurationError, ValidationError
-from .grover import QueryCounter, iteration_count
+from .grover import QueryCounter
 from .oracles import ConjunctionOracle, int_to_bits
 from .permutation import (
     PermutationSpec,
@@ -61,6 +61,7 @@ from .strategies import (
     measure_and_verify,
     product_subspace_search,
     recover_candidate,
+    trial_stages,
 )
 
 EXIT_OK = 0
@@ -482,12 +483,12 @@ def run_sweep(
     Each placement is an iterative config that pairs the target with its
     bitwise complement as a decoy listed first, so half the probes start on
     a wrong candidate, and runs through ``STRATEGY_RUNS`` like ``run`` and
-    ``verify``. Every run must verify within the oracle budget
-    v * (r_L + r_U + 1). The first row's config checks m, g, the shots and
-    the seed before any row runs.
+    ``verify``. Every run must verify within two trials' stage rounds and
+    checks. The first row's config checks m, g, the shots and the seed
+    before any row runs.
     """
-    _sweep_config(m, g, 0, shots_per_trial, seed)
-    budget = 2 * (iteration_count(2**g, 1) + iteration_count(2 ** (m - g), 1) + 1)
+    first = _sweep_config(m, g, 0, shots_per_trial, seed).problem()
+    budget = 2 * (sum(stage.rounds for stage in trial_stages(first, 1)) + 1)
     rows = []
     all_ok = True
     for value in range(2**g):

@@ -12,10 +12,11 @@ that problem description:
 - disentangled_search gives every candidate its own upper block bound to
   that candidate, keeping the blocks and the candidate register product.
 
-All pipelines count oracle and diffusion applications through QueryCounter.
-Each amplification builds its oracle mask once and reuses it every round.
-Each simulated state is one Register: the pipeline opens it, runs every
-stage on it in place, and freezes it once into the Statevector it returns.
+Every pipeline runs ``grover.Stage`` records, built by the constructors
+below, through ``grover.amplify``, which counts their rounds in a
+QueryCounter. Each simulated state is one Register: the pipeline opens it,
+runs every stage on it in place, and freezes it once into the Statevector
+it returns.
 Patterns stay ints: a measured state's top outcome is a basis index, which
 one oracle query checks, and the one ``Measurement`` record holds the
 state, its counts, the checked label and the verdict. Block read-outs are
@@ -31,16 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, ValidationError
-from .grover import QueryCounter, amplify, iteration_count, run_grover
+from .grover import QueryCounter, Stage, amplify
 from .oracles import ConcatenatedOracle, PartialCandidateSet, candidate_oracle, int_to_bits
 from .statevector import (
     MAX_QUBITS,
     QubitSet,
     Register,
     Statevector,
-    apply_conditional_bit_flip,
-    apply_diffusion,
-    apply_phase_flip,
     init_uniform,
     marginal_distribution,
     marginal_probability,
@@ -161,29 +159,25 @@ def measure_and_verify(
     )
 
 
+def candidate_stage(problem: SearchProblem, k: int) -> Stage:
+    """Search the lower half for candidate k alone."""
+    lower = problem.lower_qubits
+    return Stage.standard(candidate_oracle(problem.candidates, k).mask(), lower, lower)
+
+
+def upper_stage(problem: SearchProblem) -> Stage:
+    """Global phase flip, upper diffusion: the lower half steers which upper block grows."""
+    marked = problem.global_oracle.mask()
+    return Stage.standard(marked, problem.all_qubits, problem.upper_qubits)
+
+
 def prepare_candidates(
     problem: SearchProblem, sv: Register, counter: QueryCounter | None = None
 ) -> Register:
     """Amplify the candidate set on qubits 0..g-1 of a register uniform over them."""
-    rounds = iteration_count(2**problem.g, problem.v)
-    return run_grover(sv, problem.candidates.mask(), problem.lower_qubits, rounds, counter)
-
-
-def _amplify_upper_globally(
-    problem: SearchProblem,
-    sv: Register,
-    counter: QueryCounter | None,
-) -> Register:
-    """Repeat [global phase flip; upper diffusion] the standard round count.
-
-    The oracle reads all m qubits while the diffusion reflects only the
-    upper half, so lower-half amplitudes steer which upper block grows.
-    The lower register is deliberately non-uniform here; no uniformity
-    assertion applies.
-    """
-    rounds = iteration_count(2 ** (problem.m - problem.g), 1)
-    marked = problem.global_oracle.mask()
-    return amplify(sv, marked, problem.all_qubits, problem.upper_qubits, rounds, counter)
+    lower = problem.lower_qubits
+    stage = Stage.standard(problem.candidates.mask(), lower, lower, problem.v)
+    return amplify(sv, (stage,), counter)
 
 
 def require_matching_candidate(problem: SearchProblem) -> None:
@@ -205,7 +199,7 @@ def entangled_nested(
     """
     require_matching_candidate(problem)
     sv = prepare_candidates(problem, init_uniform(problem.m), counter)
-    return _amplify_upper_globally(problem, sv, counter).freeze()
+    return amplify(sv, (upper_stage(problem),), counter).freeze()
 
 
 def product_subspace_search(
@@ -218,10 +212,14 @@ def product_subspace_search(
     candidate, matching or not.
     """
     sv = prepare_candidates(problem, init_uniform(problem.m), counter)
-    upper_rounds = iteration_count(2 ** (problem.m - problem.g), 1)
-    return run_grover(
-        sv, problem.global_oracle.upper.mask(), problem.upper_qubits, upper_rounds, counter
-    ).freeze()
+    upper = problem.upper_qubits
+    stage = Stage.standard(problem.global_oracle.upper.mask(), upper, upper)
+    return amplify(sv, (stage,), counter).freeze()
+
+
+def trial_stages(problem: SearchProblem, k: int) -> tuple[Stage, Stage]:
+    """The stages of the k-th trial: candidate k, then the upper half."""
+    return candidate_stage(problem, k), upper_stage(problem)
 
 
 def iterative_trial_state(
@@ -234,12 +232,7 @@ def iterative_trial_state(
     solution state carries nearly all the mass; otherwise the upper half
     stays near-uniform against candidate k.
     """
-    oracle_k = candidate_oracle(problem.candidates, k)
-    lower_rounds = iteration_count(2**problem.g, 1)
-    sv = run_grover(
-        init_uniform(problem.m), oracle_k.mask(), problem.lower_qubits, lower_rounds, counter
-    )
-    return _amplify_upper_globally(problem, sv, counter).freeze()
+    return amplify(init_uniform(problem.m), trial_stages(problem, k), counter).freeze()
 
 
 class IterativeOutcome(NamedTuple):
@@ -358,6 +351,20 @@ def flag_excitation(problem: SearchProblem, state: Statevector, k: int) -> float
     return marginal_probability(state, qubits(layout.flag(k)), 1)
 
 
+def block_stages(problem: SearchProblem, layout: CompositeLayout) -> tuple[Stage, ...]:
+    """Block k's upper search, kicked through flag k, for every k.
+
+    Its oracle is the global oracle with the lower input fixed to
+    candidate k, so the candidate register never enters a block round.
+    """
+    # row z, column y: whether the global oracle marks (z << g) | y
+    global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
+    return tuple(
+        Stage.standard(global_mask[:, y], layout.block(k), layout.block(k), flag=layout.flag(k))
+        for k, y in enumerate(problem.candidates.candidates, start=1)
+    )
+
+
 def disentangled_search(
     problem: SearchProblem, counter: QueryCounter | None = None
 ) -> DisentangledOutcome:
@@ -380,26 +387,7 @@ def disentangled_search(
     """
     layout = disentangled_layout(problem)
     sv = prepare_candidates(problem, _flags_cleared_uniform(layout), counter)
-
-    upper_rounds = iteration_count(2**layout.block_width, 1)
-    # row z, column y: whether the global oracle marks (z << g) | y
-    global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
-    flag_set = np.array([False, True])
-    for k in range(1, problem.v + 1):
-        # the global oracle with its lower input fixed to candidate k
-        bound = global_mask[:, problem.candidates.candidate(k)]
-        flag = layout.flag(k)
-        block = layout.block(k)
-        for _ in range(upper_rounds):
-            apply_conditional_bit_flip(sv, flag, bound, block)
-            apply_phase_flip(sv, flag_set, qubits(flag))
-            apply_conditional_bit_flip(sv, flag, bound, block)
-            apply_diffusion(sv, block)
-            sv.check_norm()
-            if counter is not None:
-                counter.count_oracle()
-                counter.count_diffusion()
-    state = sv.freeze()
+    state = amplify(sv, block_stages(problem, layout), counter).freeze()
 
     blocks = range(1, problem.v + 1)
     excitations = tuple(flag_excitation(problem, state, k) for k in blocks)
@@ -429,9 +417,5 @@ def recover_candidate(
     """
     if counter is None:
         counter = QueryCounter()
-    oracle_k = candidate_oracle(problem.candidates, k)
-    rounds = iteration_count(2**problem.g, 1)
-    sv = run_grover(
-        init_uniform(problem.g), oracle_k.mask(), qubit_range(0, problem.g), rounds, counter
-    ).freeze()
+    sv = amplify(init_uniform(problem.g), (candidate_stage(problem, k),), counter).freeze()
     return measure_and_verify(problem, sv, shots, (seed, k), counter, k)

@@ -7,7 +7,7 @@ import pytest
 
 import qtreesearch.runner as runmod
 from qtreesearch.cli import main
-from qtreesearch.config import config_from_mapping
+from qtreesearch.config import bundled_configs, config_from_mapping
 from qtreesearch.runner import EXIT_CONFIG_ERROR
 
 PRODUCT = {
@@ -161,6 +161,20 @@ BAD_CONFIGS = {
     ),
 }
 
+# (file bytes, message with the file's path as {path}): faults found before
+# the file is a mapping
+BAD_FILES = {
+    "undecodable": (
+        b"\xffstrategy: product\n",
+        "cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    ),
+    "seed-given-twice": (
+        bundled_configs()["fig_a_basic_2"].read_bytes() + b"seed: 5\n",
+        "{path}: field 'seed': given twice",
+    ),
+}
+
 # configs that ``run`` accepts and ``verify`` rejects, in the same form
 BAD_VERIFY_CONFIGS = {
     "candidates-cnot-check-too-wide": (
@@ -231,6 +245,17 @@ def test_bad_config_exits_one_naming_file_and_field(
         f"{path}: field {field!r}: {message}",
         capsys,
         strategy_calls,
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_file_exits_one_naming_it(case, command, tmp_path, capsys, strategy_calls):
+    content, message = BAD_FILES[case]
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    _exits_one_with(
+        (command, "--config", str(path)), message.format(path=path), capsys, strategy_calls
     )
 
 

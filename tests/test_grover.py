@@ -11,6 +11,7 @@ from qtreesearch import grover
 from qtreesearch.errors import ConfigurationError, ValidationError
 from qtreesearch.grover import (
     QueryCounter,
+    Stage,
     amplify,
     iteration_count,
     rotation_angle,
@@ -140,14 +141,14 @@ class TestAmplifyLoop:
         sv = _random_state(6, 1)
         register = Register.copy_of(sv)
         array = register.amplitudes
-        assert amplify(register, MARKED, FLIP_ON, DIFFUSE_ON, rounds) is register
+        assert amplify(register, [Stage(MARKED, FLIP_ON, DIFFUSE_ON, rounds)]) is register
         assert register.amplitudes is array
         assert (register.amplitudes.tobytes() == sv.amplitudes.tobytes()) == (rounds == 0)
 
     def test_rounds_match_kernel_calls_under_a_cross_check(self):
         sv = _random_state(6, 2)
         with KernelCrossCheck() as looped:
-            out = amplify(Register.copy_of(sv), MARKED, FLIP_ON, DIFFUSE_ON, 3)
+            out = amplify(Register.copy_of(sv), [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 3)])
         with KernelCrossCheck() as called:
             expected = Register.copy_of(sv)
             for _ in range(3):
@@ -178,5 +179,31 @@ class TestAmplifyLoop:
         monkeypatch.setattr(grover, "apply_phase_flip", scaled_third_flip)
         monkeypatch.setattr(grover, "apply_diffusion", counted_diffusion)
         with pytest.raises(ValidationError, match="norm"):
-            amplify(Register.copy_of(_random_state(6, 3)), MARKED, FLIP_ON, DIFFUSE_ON, 5)
+            amplify(Register.copy_of(_random_state(6, 3)), [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 5)])
         assert (len(flips), len(diffusions)) == (3, 3)
+
+    def test_stages_run_in_order_and_count_every_round(self):
+        first = Stage(MARKED, FLIP_ON, DIFFUSE_ON, 2)
+        second = Stage(MARKED[:8], qubits(1, 3, 4), qubits(0, 5), 1)
+        counter = QueryCounter()
+        with KernelCrossCheck() as check:
+            out = amplify(Register.copy_of(_random_state(6, 4)), [first, second], counter)
+        expected = amplify(amplify(Register.copy_of(_random_state(6, 4)), [first]), [second])
+        assert [label for label, _ in check.records] == ["phase_flip", "diffusion"] * 3
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert (counter.oracle_calls, counter.diffusion_calls) == (3, 3)
+
+    def test_negative_rounds_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="rounds"):
+            amplify(init_uniform(2), [Stage(np.arange(4) == 0, qubits(0, 1), qubits(0, 1), -1)])
+
+
+class TestStandardStage:
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_rounds_follow_the_diffused_width(self, width, data):
+        # the flip set may be wider than the diffusion; only the diffused
+        # width and the marked count fix the rounds
+        k = data.draw(st.integers(min_value=1, max_value=2**width))
+        stage = Stage.standard(MARKED, FLIP_ON, qubit_range(0, width), k, flag=7)
+        assert stage.rounds == iteration_count(2**width, k)
+        assert stage.flag == 7 and stage.marked is MARKED and stage.flip_on is FLIP_ON

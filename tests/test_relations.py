@@ -115,12 +115,11 @@ def _rounds(n, k=1):
 
 
 def _config(problem, strategy, prep="grover"):
-    g = problem.g
     return config_from_mapping(
         {
             "strategy": strategy,
             "m": problem.m,
-            "g": g,
+            "g": problem.g,
             "upper_oracle": problem.global_oracle.upper.signed_literals(),
             "lower_oracle": problem.global_oracle.lower.signed_literals(),
             "candidates": list(problem.candidates.strings()),

@@ -9,7 +9,7 @@ a 2-round single-mark search over 8 states puts 121/128 on the mark, and a
 import numpy as np
 import pytest
 
-from qtreesearch import strategies
+from qtreesearch import grover, strategies
 from qtreesearch.errors import ConfigurationError, PreconditionError, ValidationError
 from qtreesearch.grover import QueryCounter
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
@@ -320,16 +320,17 @@ class TestDisentangledSearch:
 
     @pytest.mark.parametrize("block, round_", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch, block, round_):
-        # two blocks of two rounds; the first bit flip of round ``round_``
-        # of ``block`` is scaled. The loop checks the register's norm once
-        # per round, after the diffusion, so the fault raises at the end
-        # of that round, not when the loop freezes its register
+        # one candidate round, then two blocks of two rounds; the first bit
+        # flip of round ``round_`` of ``block`` is scaled. The loop checks
+        # the register's norm once per round, after the diffusion, so the
+        # fault raises at the end of that round, not when the search
+        # freezes its register
         faulty = 2 * (block - 1) + round_
         calls = {"flip": 0, "phase": 0, "diffusion": 0}
         real_flip, real_phase, real_diffusion = (
-            strategies.apply_conditional_bit_flip,
-            strategies.apply_phase_flip,
-            strategies.apply_diffusion,
+            grover.apply_conditional_bit_flip,
+            grover.apply_phase_flip,
+            grover.apply_diffusion,
         )
 
         def flip(*args):
@@ -347,12 +348,12 @@ class TestDisentangledSearch:
             calls["diffusion"] += 1
             return real_diffusion(*args)
 
-        monkeypatch.setattr(strategies, "apply_conditional_bit_flip", flip)
-        monkeypatch.setattr(strategies, "apply_phase_flip", phase)
-        monkeypatch.setattr(strategies, "apply_diffusion", diffusion)
+        monkeypatch.setattr(grover, "apply_conditional_bit_flip", flip)
+        monkeypatch.setattr(grover, "apply_phase_flip", phase)
+        monkeypatch.setattr(grover, "apply_diffusion", diffusion)
         with pytest.raises(ValidationError, match="norm"):
             disentangled_search(six_qubit_problem())
-        assert calls == {"flip": 2 * faulty, "phase": faulty, "diffusion": faulty}
+        assert calls == {"flip": 2 * faulty, "phase": 1 + faulty, "diffusion": 1 + faulty}
 
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()

@@ -6,7 +6,8 @@ argument would fail ``bench/run.py --trace 1`` and nothing else, so these
 tests read the tracer's own lists and resolve each entry, and run every
 bundled config under the installed tracer. The tracer also counts a loop's
 kernel calls only while the loop calls the kernels through its module's
-names, which the last tests check by rebinding those names.
+names, which the last tests check by rebinding those names in ``grover``,
+the module of the one round loop.
 """
 
 import importlib
@@ -76,37 +77,41 @@ def test_a_traced_run_of_each_bundled_config_matches_the_untraced_one(name):
     assert traced_exit == untraced_exit
     # every kernel's width is read from the register it is given
     assert tracer.counts["amplitudes_touched"] > 0
+    # the tracer's candidate_prep stage is the span of prepare_candidates,
+    # which every strategy that amplifies the candidate set opens
+    names = {span[0] for span in tracer.spans}
+    prepares = config.strategy != "iterative" and config.prep == "grover"
+    assert ("strategies.prepare_candidates" in names) == prepares
 
 
-def _count_calls(monkeypatch, module, names):
-    """Rebind each kernel name in ``module`` to a wrapper that records the
-    register width of every call, as the tracer reads it from args[0]."""
-    widths = {name: [] for name in names}
-    for name in names:
-        def wrapper(*args, _kernel=getattr(module, name), _seen=widths[name], **kwargs):
+KERNEL_NAMES = ("apply_conditional_bit_flip", "apply_phase_flip", "apply_diffusion")
+
+
+def _count_calls(monkeypatch):
+    """Rebind each kernel name in ``grover`` to a wrapper that records, in
+    call order, the kernel and the register width the tracer reads from
+    args[0]."""
+    calls = []
+    for name in KERNEL_NAMES:
+        def wrapper(*args, _name=name, _kernel=getattr(grover, name), **kwargs):
             assert isinstance(args[0], Register)
-            _seen.append(args[0].num_qubits)
+            calls.append((_name, args[0].num_qubits))
             return _kernel(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
-    return widths
+        monkeypatch.setattr(grover, name, wrapper)
+    return calls
 
 
 def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
-    widths = _count_calls(monkeypatch, grover, ("apply_phase_flip", "apply_diffusion"))
-    marked = np.arange(32) % 7 == 3
+    calls = _count_calls(monkeypatch)
+    stage = grover.Stage(np.arange(32) % 7 == 3, qubit_range(0, 5), qubit_range(2, 6), 4)
     register = init_uniform(6)
-    assert grover.amplify(register, marked, qubit_range(0, 5), qubit_range(2, 6), 4) is register
-    assert widths == {"apply_phase_flip": [6] * 4, "apply_diffusion": [6] * 4}
+    assert grover.amplify(register, [stage]) is register
+    assert calls == [("apply_phase_flip", 6), ("apply_diffusion", 6)] * 4
 
 
 def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
-    prep = _count_calls(monkeypatch, grover, ("apply_phase_flip", "apply_diffusion"))
-    blocks = _count_calls(
-        monkeypatch,
-        strategies,
-        ("apply_conditional_bit_flip", "apply_phase_flip", "apply_diffusion"),
-    )
+    calls = _count_calls(monkeypatch)
     # m = 6, g = 3, v = 2: a composite of 3 + 2 * (3 + 1) = 11 qubits, one
     # preparation round, and r(8, 1) = 2 rounds in each block
     problem = strategies.SearchProblem(
@@ -118,10 +123,12 @@ def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
     )
     # the search opens one register and hands it to every kernel it calls
     strategies.disentangled_search(problem)
-    assert prep == {"apply_phase_flip": [11], "apply_diffusion": [11]}
+    prep = [("apply_phase_flip", 11), ("apply_diffusion", 11)]
     # per block round: compute the flag, flip its phase, uncompute, diffuse
-    assert blocks == {
-        "apply_conditional_bit_flip": [11] * 8,
-        "apply_phase_flip": [11] * 4,
-        "apply_diffusion": [11] * 4,
-    }
+    block_round = [
+        ("apply_conditional_bit_flip", 11),
+        ("apply_phase_flip", 11),
+        ("apply_conditional_bit_flip", 11),
+        ("apply_diffusion", 11),
+    ]
+    assert calls == prep + block_round * 4
