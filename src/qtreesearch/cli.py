@@ -9,9 +9,11 @@ the last line of text output only. JSON output is byte for byte what
 of its own (``render_json``) that refuses NaN and infinity.
 A run's histogram reaches every renderer as the ``Histogram`` arrays that
 ``runner.merge_counts`` returns: json renders each distinct leaf once,
-csv zips the arrays, and text ranks them with ``np.lexsort``. Files are
-written by temp-file-and-rename so readers never observe a partial
-artifact.
+finding the few distinct leaves by one sort of each key rather than by an
+argsort; csv zips the arrays, and text ranks them with ``np.lexsort``.
+Files are written by temp-file-and-rename so readers never observe a
+partial artifact; a file that cannot be written is reported as one
+``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ def _render_histogram(histogram: Histogram, newline: str, out: list[str]) -> Non
     amplitude and leaves most counts at 0, so a histogram over 2**16
     labels holds a handful of distinct (count, probability) pairs. Each
     pair's leaf body is rendered once, the probability keyed by its bit
-    pattern so that 0.0 and -0.0 stay apart. The labels are written as
+    pattern so that 0.0 and -0.0 stay apart. The pairs are found by
+    ``_distinct`` on the probability bits, the counts and the pair key:
+    one sort each and a binary search back, so no argsort runs over the
+    labels. The labels are written as
     ASCII into one byte array, a bit column at a time, with the quote and
     the text up to the count around them, and the whole object is one
     ``bytes.join`` of those heads and the shared bodies.
@@ -189,9 +194,9 @@ def _render_histogram(histogram: Histogram, newline: str, out: list[str]) -> Non
         heads[:, column] = ord("0") + ((support >> shift) & 1)
     heads[:, 1 + width :] = np.frombuffer(head, dtype=np.uint8)
     # the rest of the leaf, once per distinct (count, probability) pair
-    p_bits, p_index = np.unique(probs.view(np.int64), return_inverse=True)
-    c_values, c_index = np.unique(histogram.counts, return_inverse=True)
-    pairs, pair_index = np.unique(p_index * c_values.size + c_index, return_inverse=True)
+    p_bits, p_index = _distinct(probs.view(np.int64))
+    c_values, c_index = _distinct(histogram.counts)
+    pairs, pair_index = _distinct(p_index * c_values.size + c_index)
     p_of, c_of = np.divmod(pairs, c_values.size)
     bodies = np.array(
         [
@@ -205,6 +210,19 @@ def _render_histogram(histogram: Histogram, newline: str, out: list[str]) -> Non
     parts[1::2] = bodies[pair_index].tolist()
     parts[-1] = parts[-1][: -len(comma)]
     out += ("{" + inner, b"".join(parts).decode("ascii"), newline + "}")
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct values, and each value's position among them.
+
+    What ``np.unique(values, return_inverse=True)`` returns, from one sort,
+    a comparison of neighbours and a binary search, with no argsort.
+    """
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
 
 
 def _cell(value) -> str:
@@ -376,10 +394,10 @@ def write_output(text: str, out: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.replace(temp_name, path)
     except BaseException:
         os.unlink(temp_name)
         raise
-    os.replace(temp_name, path)
 
 
 def parse_int_list(text: str, what: str) -> list[int]:
@@ -513,7 +531,11 @@ def main(argv=None) -> int:
             text = render_csv(report)
         else:
             text = render_text(report) + f"wall_time_s: {time.perf_counter() - started:.4f}\n"
-        write_output(text, args.out)
+        try:
+            write_output(text, args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -20,11 +20,15 @@ over the ``on`` axes and overwrites the register with its result. A
 register is norm-checked once per round, by the loop, after the round's
 diffusion, and again when it is frozen. Flips, swaps and index maps only
 negate or move amplitudes, so that one check still sees a fault from any
-kernel of the round. The read-outs ``marginal_distribution`` and
-``partition_purity`` instead view the amplitudes as a (2**k, rest) matrix
-whose row p is sub-pattern p (``_rows``): the marginal sums each row, and
-the purity is the squared Frobenius norm of that matrix's Gram matrix on
-its smaller side.
+kernel of the round.
+
+A Statevector squares its amplitudes once, on first use, into a read-only
+probability vector (``probabilities``) that every read-out of the state
+shares: ``sample``, ``probability_map``, the histogram and each marginal.
+``marginal_distribution`` and ``partition_purity`` view a per-index vector
+as a (2**k, rest) matrix whose row p is sub-pattern p (``_rows``): the
+marginal sums each row of the probabilities, and the purity is the squared
+Frobenius norm of the amplitude matrix's Gram matrix on its smaller side.
 
 Every kernel also has an O(dim) reference, used by the cross-check
 context, that computes the same output from basis-index bit arithmetic
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -130,6 +135,13 @@ class Statevector:
     @property
     def dim(self) -> int:
         return 2**self.num_qubits
+
+    @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """Born probabilities by basis index: squared once, then read-only."""
+        p = np.abs(self.amplitudes) ** 2
+        p.flags.writeable = False
+        return p
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -405,8 +417,13 @@ def apply_index_map(
 
 
 def probabilities(sv: Statevector) -> np.ndarray:
-    """Born probabilities indexed by basis index."""
-    return np.abs(sv.amplitudes) ** 2
+    """Born probabilities indexed by basis index, read-only.
+
+    The state's one probability vector, computed on first use: ``sample``,
+    ``probability_map``, ``marginal_distribution`` and the histogram read
+    it instead of squaring the amplitudes again.
+    """
+    return sv.probabilities
 
 
 def probability_map(sv: Statevector, floor: float = SUPPORT_FLOOR) -> dict[str, float]:
@@ -436,14 +453,18 @@ def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:
     return lead + [a for a in range(num_qubits) if a not in lead]
 
 
-def _rows(sv: Statevector, order: Sequence[int]) -> np.ndarray:
-    """The amplitudes as a (2**k, rest) matrix; row p is sub-pattern p.
+def _rows(
+    sv: Statevector, order: Sequence[int], values: np.ndarray | None = None
+) -> np.ndarray:
+    """The amplitudes, or other ``values`` by basis index, as a (2**k, rest)
+    matrix; row p is sub-pattern p.
 
     Bit j of p is qubit order[j]. The columns run over the other qubits in
     basis-index order. A view when ``order`` is a run of the lowest or the
     highest qubits in increasing order; otherwise a transposed copy.
     """
-    tensor = sv.amplitudes.reshape((2,) * sv.num_qubits)
+    values = sv.amplitudes if values is None else values
+    tensor = values.reshape((2,) * sv.num_qubits)
     return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
 
 
@@ -467,10 +488,15 @@ def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
 
 
 def marginal_distribution(sv: Statevector, on: QubitSet | Sequence[int]) -> np.ndarray:
-    """Probability of every pattern of the ``on`` bits, indexed by pattern."""
+    """Probability of every pattern of the ``on`` bits, indexed by pattern.
+
+    Row sums of the state's probability vector laid out by ``_rows``: the
+    same matrix, and so the same floats, as squaring the laid-out
+    amplitudes.
+    """
     on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
-    return np.sum(np.abs(_rows(sv, on.indices)) ** 2, axis=1)
+    return np.sum(_rows(sv, on.indices, probabilities(sv)), axis=1)
 
 
 def marginal_probability(

@@ -1,5 +1,6 @@
 """Bad input: every faulty config, override and sweep flag exits 1 with one
-field-level line, before any strategy runs."""
+field-level line, before any strategy runs; an ``--out`` that cannot be
+written exits 1 with one line and leaves no temp file."""
 
 import json
 
@@ -209,6 +210,14 @@ BAD_OVERRIDES = {
     ),
 }
 
+# a run of each subcommand that succeeds up to the write
+WRITTEN_COMMANDS = {
+    "run": ("run", "--config", "fig_a_basic_2", "--format", "json"),
+    "cost": ("cost", "--m-range", "8", "--v-range", "2"),
+    "verify": ("verify", "--config", "fig_a_basic_0"),
+    "sweep": ("sweep", "--m", "5", "--g", "3", "--shots", "16"),
+}
+
 
 @pytest.fixture
 def strategy_calls(monkeypatch):
@@ -285,3 +294,18 @@ def test_each_fault_is_the_only_one(base):
     # the bases are valid, so each case above has exactly one bad field
     config = config_from_mapping(base)
     assert config.problem() is config.problem()
+
+
+@pytest.mark.parametrize("target", ["a-directory", "missing-parent"])
+@pytest.mark.parametrize("command", sorted(WRITTEN_COMMANDS))
+def test_unwritable_out_exits_one_leaving_no_temp_file(command, target, tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    out, reason = {
+        "a-directory": (tmp_path / "taken", "Is a directory"),
+        "missing-parent": (tmp_path / "missing" / "x.json", "No such file or directory"),
+    }[target]
+    assert main([*WRITTEN_COMMANDS[command], "--out", str(out)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["taken"]

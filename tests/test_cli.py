@@ -497,8 +497,9 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _histograms(draw):
-    width = draw(st.integers(1, 10))
+def _sparse_histograms(draw):
+    """Up to 64 labels of any register width, counts and probabilities drawn apiece."""
+    width = draw(st.integers(1, svmod.MAX_QUBITS))
     support = sorted(
         draw(
             st.one_of(
@@ -520,6 +521,31 @@ def _histograms(draw):
         )
     )
     return Histogram(width, support, counts, probabilities)
+
+
+@st.composite
+def _crowded_histograms(draw):
+    """1000 or more labels over a handful of counts and probabilities, the
+    shape of an amplified run's histogram over 2**16 labels."""
+    width = draw(st.integers(11, 16))
+    size = draw(st.integers(1000, 1500))
+    counts = draw(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**62)), min_size=1, max_size=5)
+    )
+    probabilities = draw(
+        st.lists(st.one_of(st.sampled_from(_PROBABILITY_POOL), _FINITE), min_size=1, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Histogram(
+        width,
+        np.sort(rng.choice(2**width, size, replace=False)),
+        rng.choice(np.array(counts, dtype=np.int64), size),
+        rng.choice(np.array(probabilities, dtype=np.float64), size),
+    )
+
+
+def _histograms():
+    return st.one_of(_sparse_histograms(), _crowded_histograms())
 
 
 _WITH_HISTOGRAMS = st.one_of(

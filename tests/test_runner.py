@@ -51,6 +51,22 @@ def test_bundled_config_matches_golden(name):
     assert list(report["kernel_checks"]["by_operation"]) == operations
 
 
+def test_bundled_artifacts_render_without_an_argsort(monkeypatch):
+    # the distinct leaves of a histogram come from one sort per key; a
+    # renderer that falls back on np.unique or an argsort raises here
+    artifacts = {
+        name: run_experiment(load_config(resolve_config(name)))[0] for name in VERIFY_COVERAGE
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the renderer sorted by argsort")
+
+    monkeypatch.setattr(np, "unique", forbidden)
+    monkeypatch.setattr(np, "argsort", forbidden)
+    for name, artifact in artifacts.items():
+        assert render_json(artifact) == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_registry_covers_every_strategy_choice():
     assert tuple(STRATEGY_RUNS) == STRATEGY_CHOICES
 

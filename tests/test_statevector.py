@@ -317,6 +317,28 @@ class TestMeasurement:
         sv = random_state(4, seed=3)
         assert probabilities(sv).sum() == pytest.approx(1.0)
 
+    def test_probabilities_are_one_read_only_vector(self):
+        sv = random_state(4, seed=3)
+        assert probabilities(sv) is probabilities(sv)
+        with pytest.raises(ValueError):
+            probabilities(sv)[0] = 0.5
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.tuples(
+                st.just(m), st.sets(st.integers(0, m - 1)), st.integers(0, 2**32 - 1)
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_marginal_equals_the_squared_amplitude_rows_bit_for_bit(self, case):
+        m, chosen, seed = case
+        sv = random_state(m, seed)
+        on = tuple(sorted(chosen))
+        # the amplitudes laid out by ``_rows``, squared, then summed per row
+        reference = np.sum(np.abs(svmod._rows(sv, on)) ** 2, axis=1)
+        assert np.array_equal(marginal_distribution(sv, on), reference)
+
     def test_sample_is_reproducible(self):
         sv = init_uniform(3).freeze()
         a = sample(sv, shots=500, seed=11)
