@@ -273,6 +273,9 @@ def render_run_text(artifact: dict) -> str:
             f"candidate_index={r['candidate_index'] if r['candidate_index'] else '-'} "
             f"trials={r['trials']}"
         )
+    elif "winning_index" in artifact:
+        # no block cleared the decision threshold, so no candidate was recovered
+        lines.append("result: verified=false found=- (no winning block)")
     else:
         lines.append("result: state prepared")
     if "winning_index" in artifact:
@@ -401,7 +404,11 @@ def write_output(text: str, out: str | None) -> None:
 
 
 def parse_int_list(text: str, what: str) -> list[int]:
-    """Accept '8', '4,8,16', or 'start:stop[:step]' with inclusive stop."""
+    """Accept '8', '4,8,16', or 'start:stop[:step]' with inclusive stop.
+
+    The list holds register widths or candidate counts, so it must be
+    non-empty with every value at least 1; a fault names ``what``, the flag.
+    """
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
@@ -413,10 +420,16 @@ def parse_int_list(text: str, what: str) -> list[int]:
                 raise ValueError("too many ':' separators")
             if step < 1:
                 raise ValueError("step must be positive")
-            return list(range(start, stop + 1, step))
-        return [int(p) for p in text.split(",") if p.strip()]
+            values = list(range(start, stop + 1, step))
+        else:
+            values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if not values or min(values) < 1:
+        raise ConfigurationError(
+            f"{what}: expected one or more values of at least 1, got {text!r}"
+        )
+    return values
 
 
 def _config_with_overrides(args) -> ExperimentConfig:
@@ -447,6 +460,9 @@ def _cmd_cost(args) -> tuple[dict, int, str]:
         rows = cost_table(ms, vs, strategies)
     except OverflowError as exc:
         raise ConfigurationError(f"--m-range/--v-range: {exc}") from exc
+    except ConfigurationError as exc:
+        # the parsed m and v lists are valid, so the fault is in the strategies
+        raise ConfigurationError(f"--strategies: {exc}") from exc
     return {"columns": list(COST_COLUMNS), "rows": rows}, EXIT_OK, args.format
 
 

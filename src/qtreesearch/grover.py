@@ -4,7 +4,7 @@ A search is a sequence of ``Stage`` records, which ``amplify``, the one
 round loop, runs. A stage's oracle is a boolean mask over sub-register
 patterns, built once and reused by every round, and ``Stage.standard``
 states the round rule. Each round spends one oracle call and one diffusion
-call, tallied by an optional QueryCounter; classical verification steps
+call, tallied by the caller's QueryCounter; classical verification steps
 elsewhere tick the same oracle_calls counter: a query is a query however
 it is addressed.
 """
@@ -78,8 +78,8 @@ class Stage(NamedTuple):
     """
 
     marked: np.ndarray
-    flip_on: QubitSet | Sequence[int]
-    diffuse_on: QubitSet | Sequence[int]
+    flip_on: QubitSet
+    diffuse_on: QubitSet
     rounds: int
     flag: int | None = None
 
@@ -91,16 +91,13 @@ class Stage(NamedTuple):
 
 
 def run_grover(
-    sv: Register, marked: np.ndarray, on: QubitSet | Sequence[int], rounds: int,
-    counter: QueryCounter | None = None,
+    sv: Register, marked: np.ndarray, on: QubitSet, rounds: int, counter: QueryCounter
 ) -> Register:
     """Apply `rounds` repetitions of [phase flip; diffusion] on `on`: one stage."""
     return amplify(sv, (Stage(marked, on, on, rounds),), counter)
 
 
-def amplify(
-    sv: Register, stages: Sequence[Stage], counter: QueryCounter | None = None
-) -> Register:
+def amplify(sv: Register, stages: Sequence[Stage], counter: QueryCounter) -> Register:
     """Run every round of every stage, in order.
 
     The rounds update the given register in place, and its norm is
@@ -119,7 +116,6 @@ def amplify(
                 apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
             apply_diffusion(sv, stage.diffuse_on)
             sv.check_norm()
-            if counter is not None:
-                counter.count_oracle()
-                counter.count_diffusion()
+            counter.count_oracle()
+            counter.count_diffusion()
     return sv

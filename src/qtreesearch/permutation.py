@@ -65,9 +65,7 @@ def candidate_code(k: int, code_width: int, width: int, convention: str) -> int:
     raise ConfigurationError(f"unknown convention {convention!r}")
 
 
-def build_permutation(
-    candidates: PartialCandidateSet, convention: str = "standard"
-) -> PermutationSpec:
+def build_permutation(candidates: PartialCandidateSet, convention: str) -> PermutationSpec:
     """Relabeling that sends the k-th candidate to the k-th code word.
 
     Built as a sequence of pattern swaps: at each step the candidate's
@@ -150,10 +148,7 @@ class CompactedSearch(NamedTuple):
 
 
 def compacted_search_state(
-    problem: SearchProblem,
-    counter: QueryCounter | None = None,
-    prep: str = "grover",
-    convention: str = "little_endian",
+    problem: SearchProblem, counter: QueryCounter, prep: str, convention: str
 ) -> CompactedSearch:
     """Final state of the relabeled search, before any measurement.
 
@@ -172,9 +167,7 @@ def compacted_search_state(
     candidate count fills the code block (v a power of two) and the
     candidates carry equal amplitudes; otherwise it departs from that law.
     """
-    if counter is None:
-        counter = QueryCounter()
-    spec = build_permutation(problem.candidates, convention=convention)
+    spec = build_permutation(problem.candidates, convention)
     g, m, c = problem.g, problem.m, spec.code_width
     if convention == "little_endian":
         code_positions = range(g - c, g)

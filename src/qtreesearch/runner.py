@@ -48,7 +48,6 @@ from .statevector import (
     Register,
     Statevector,
     partition_purity,
-    probabilities,
     qubit_range,
     sample,
 )
@@ -135,7 +134,7 @@ def merge_counts(sv: Statevector, counts: np.ndarray) -> Histogram:
     Counts sum to the shot count; probabilities sum to 1 up to the floor.
     No label is formatted here: the renderers do that.
     """
-    p = probabilities(sv)
+    p = sv.probabilities
     kept = p > SUPPORT_FLOOR
     support = np.flatnonzero((counts > 0) | kept)
     return Histogram(
@@ -186,13 +185,11 @@ def _run_entangled(
 def _run_iterative(
     config: ExperimentConfig, problem: SearchProblem, counter: QueryCounter
 ) -> Run:
-    outcome = iterative_search(
-        problem, shots_per_trial=config.shots_per_trial, seed=config.seed, counter=counter
-    )
+    trials = iterative_search(problem, config.shots_per_trial, config.seed, counter)
 
     def sections() -> dict:
         labels = problem.candidates.strings()
-        trials = [
+        rows = [
             {
                 "candidate_index": k,
                 "candidate": labels[k - 1],
@@ -200,17 +197,12 @@ def _run_iterative(
                 "accepted": trial.verified,
                 "histogram": merge_counts(trial.state, trial.counts),
             }
-            for k, trial in enumerate(outcome.trials, start=1)
+            for k, trial in enumerate(trials, start=1)
         ]
-        return {"trials": trials, "histogram": trials[-1]["histogram"]}
+        return {"trials": rows, "histogram": rows[-1]["histogram"]}
 
-    return Run(
-        outcome.trials[-1].state,
-        sections,
-        "iterative",
-        outcome.result.verified,
-        result=outcome.result,
-    )
+    result = trials[-1]
+    return Run(result.state, sections, "iterative", result.verified, result=result)
 
 
 def _run_disentangled(
@@ -221,8 +213,7 @@ def _run_disentangled(
     result = None
     if outcome.winning_index is not None:
         result = recover_candidate(
-            problem, outcome.winning_index,
-            shots=config.shots, seed=config.seed, counter=counter,
+            problem, outcome.winning_index, config.shots, config.seed, counter
         )
 
     def sections() -> dict:
@@ -258,9 +249,7 @@ def _run_disentangled(
 def _run_permutation(
     config: ExperimentConfig, problem: SearchProblem, counter: QueryCounter
 ) -> Run:
-    search = compacted_search_state(
-        problem, counter, prep=config.prep, convention=config.convention
-    )
+    search = compacted_search_state(problem, counter, config.prep, config.convention)
     measured = measure_and_verify(
         problem, search.state, config.shots, config.seed, counter,
         problem.matching_candidate_index(),
@@ -421,10 +410,7 @@ def run_verification(config: ExperimentConfig, source: str = "<memory>") -> tupl
     problem = config.problem()
     cnot = None
     if config.strategy == "permutation":
-        cnot = _cnot_equivalence(
-            build_permutation(problem.candidates, convention=config.convention),
-            source,
-        )
+        cnot = _cnot_equivalence(build_permutation(problem.candidates, config.convention), source)
     with KernelCrossCheck() as check:
         STRATEGY_RUNS[config.strategy](config, problem, QueryCounter())
 
@@ -475,9 +461,7 @@ def _sweep_config(
     )
 
 
-def run_sweep(
-    m: int = 5, g: int = 3, shots_per_trial: int = 256, seed: int = 0
-) -> tuple[dict, int]:
+def run_sweep(m: int, g: int, shots_per_trial: int, seed: int) -> tuple[dict, int]:
     """Exercise the trial loop over every placement of the lower target.
 
     Each placement is an iterative config that pairs the target with its

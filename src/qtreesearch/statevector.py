@@ -2,7 +2,8 @@
 
 Basis indexing is little-endian: qubit q is bit q of the basis index, and
 textual labels therefore print qubit m-1 first. An oracle reaches a kernel
-as a boolean mask over the sub-patterns of the qubits it reads. A simulated
+as a boolean mask over the sub-patterns of the qubits it reads, and every
+kernel and read-out takes those qubits as one ``QubitSet``. A simulated
 state lives in one writable ``Register``: each strategy opens one (uniform,
 or from amplitudes it has filled), every kernel updates that register's
 array in place and returns it, and the strategy freezes it once into the
@@ -73,9 +74,6 @@ class QubitSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.indices)
-
     def __contains__(self, q: int) -> bool:
         return q in self.indices
 
@@ -92,12 +90,6 @@ def qubits(*indices: int) -> QubitSet:
 
 def qubit_range(start: int, stop: int) -> QubitSet:
     return QubitSet(tuple(range(start, stop)))
-
-
-def _as_qubitset(on: QubitSet | Sequence[int]) -> QubitSet:
-    if isinstance(on, QubitSet):
-        return on
-    return QubitSet(tuple(on))
 
 
 def _dim(num_qubits: int) -> int:
@@ -313,15 +305,12 @@ def _checked_mask(marked, on: QubitSet) -> np.ndarray:
     return marked
 
 
-def apply_phase_flip(
-    sv: Register, marked: np.ndarray, on: QubitSet | Sequence[int]
-) -> Register:
+def apply_phase_flip(sv: Register, marked: np.ndarray, on: QubitSet) -> Register:
     """Negate amplitudes whose bits at ``on`` form a marked sub-pattern.
 
     ``marked`` is indexed by the sub-pattern, the int whose bit j is the
     basis index bit at on[j].
     """
-    on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("phase flip needs at least one qubit")
@@ -339,13 +328,12 @@ def apply_phase_flip(
     return sv
 
 
-def apply_diffusion(sv: Register, on: QubitSet | Sequence[int]) -> Register:
+def apply_diffusion(sv: Register, on: QubitSet) -> Register:
     """Reflect about the mean within the ``on`` sub-register.
 
     Acts blockwise: for every fixed pattern of the remaining qubits the
     sub-register amplitudes are replaced by (2 * mean - amplitude).
     """
-    on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("diffusion needs at least one qubit")
@@ -359,10 +347,7 @@ def apply_diffusion(sv: Register, on: QubitSet | Sequence[int]) -> Register:
 
 
 def apply_conditional_bit_flip(
-    sv: Register,
-    target: int,
-    marked: np.ndarray,
-    on: QubitSet | Sequence[int],
+    sv: Register, target: int, marked: np.ndarray, on: QubitSet
 ) -> Register:
     """Flip the target qubit where the ``on`` bits form a marked sub-pattern.
 
@@ -370,7 +355,6 @@ def apply_conditional_bit_flip(
     target must not be part of ``on``. With no control qubits the mask has
     one entry, and True flips the target unconditionally.
     """
-    on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     if not 0 <= target < sv.num_qubits:
         raise ConfigurationError(f"target qubit {target} outside register")
@@ -395,11 +379,8 @@ def apply_conditional_bit_flip(
     return sv
 
 
-def apply_index_map(
-    sv: Register, mapping: Sequence[int], on: QubitSet | Sequence[int]
-) -> Register:
+def apply_index_map(sv: Register, mapping: Sequence[int], on: QubitSet) -> Register:
     """Relabel the ``on`` sub-register basis by a bijective mapping."""
-    on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
     k = len(on)
     arr = np.asarray(mapping, dtype=np.int64)
@@ -416,19 +397,9 @@ def apply_index_map(
     return sv
 
 
-def probabilities(sv: Statevector) -> np.ndarray:
-    """Born probabilities indexed by basis index, read-only.
-
-    The state's one probability vector, computed on first use: ``sample``,
-    ``probability_map``, ``marginal_distribution`` and the histogram read
-    it instead of squaring the amplitudes again.
-    """
-    return sv.probabilities
-
-
 def probability_map(sv: Statevector, floor: float = SUPPORT_FLOOR) -> dict[str, float]:
     """Probabilities keyed by textual label, entries below ``floor`` dropped."""
-    p = probabilities(sv)
+    p = sv.probabilities
     keep = np.flatnonzero(p > floor)
     width = f"0{sv.num_qubits}b"
     return {format(i, width): x for i, x in zip(keep.tolist(), p[keep].tolist())}
@@ -442,33 +413,28 @@ def sample(sv: Statevector, shots: int, seed) -> np.ndarray:
     """
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
-    p = probabilities(sv)
+    p = sv.probabilities
     return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
-def _row_axes(num_qubits: int, order: Sequence[int]) -> list[int]:
-    # qubit q is axis m-1-q of the (2,)*m tensor; order[-1] leads, and the
-    # other axes keep their order behind the leading ones
-    lead = [num_qubits - 1 - q for q in reversed(order)]
-    return lead + [a for a in range(num_qubits) if a not in lead]
-
-
-def _rows(
-    sv: Statevector, order: Sequence[int], values: np.ndarray | None = None
-) -> np.ndarray:
+def _rows(sv: Statevector, on: QubitSet, values: np.ndarray | None = None) -> np.ndarray:
     """The amplitudes, or other ``values`` by basis index, as a (2**k, rest)
     matrix; row p is sub-pattern p.
 
-    Bit j of p is qubit order[j]. The columns run over the other qubits in
-    basis-index order. A view when ``order`` is a run of the lowest or the
-    highest qubits in increasing order; otherwise a transposed copy.
+    Bit j of p is qubit on.indices[j]. The columns run over the other
+    qubits in basis-index order. A view when ``on`` is a run of the lowest
+    or the highest qubits; otherwise a transposed copy.
     """
     values = sv.amplitudes if values is None else values
     tensor = values.reshape((2,) * sv.num_qubits)
-    return tensor.transpose(_row_axes(sv.num_qubits, order)).reshape(2 ** len(order), -1)
+    # qubit q is axis m-1-q of the (2,)*m tensor; on's highest qubit leads,
+    # and the other axes keep their order behind the leading ones
+    lead = [sv.num_qubits - 1 - q for q in reversed(on.indices)]
+    axes = lead + [a for a in range(sv.num_qubits) if a not in lead]
+    return tensor.transpose(axes).reshape(2 ** len(on), -1)
 
 
-def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
+def partition_purity(sv: Statevector, part: QubitSet) -> float:
     """Purity of the reduced state on ``part``; 1 means no entanglement.
 
     The purity is the sum of the fourth powers of the singular values of
@@ -477,33 +443,28 @@ def partition_purity(sv: Statevector, part: QubitSet | Sequence[int]) -> float:
     permutation of M's rows or columns changes the sum. From 14 qubits up,
     the product's last bits depend on the BLAS thread count.
     """
-    part = _as_qubitset(part)
     part.validate_for(sv.num_qubits)
     if len(part) == 0 or len(part) == sv.num_qubits:
         raise ConfigurationError("partition must be a proper nonempty subset")
-    matrix = _rows(sv, part.indices)
+    matrix = _rows(sv, part)
     rows, columns = matrix.shape
     gram = matrix.conj().T @ matrix if columns <= rows else matrix @ matrix.conj().T
     return float(np.vdot(gram, gram).real)
 
 
-def marginal_distribution(sv: Statevector, on: QubitSet | Sequence[int]) -> np.ndarray:
+def marginal_distribution(sv: Statevector, on: QubitSet) -> np.ndarray:
     """Probability of every pattern of the ``on`` bits, indexed by pattern.
 
     Row sums of the state's probability vector laid out by ``_rows``: the
     same matrix, and so the same floats, as squaring the laid-out
     amplitudes.
     """
-    on = _as_qubitset(on)
     on.validate_for(sv.num_qubits)
-    return np.sum(_rows(sv, on.indices, probabilities(sv)), axis=1)
+    return np.sum(_rows(sv, on, sv.probabilities), axis=1)
 
 
-def marginal_probability(
-    sv: Statevector, on: QubitSet | Sequence[int], pattern: int
-) -> float:
+def marginal_probability(sv: Statevector, on: QubitSet, pattern: int) -> float:
     """Probability that measuring the ``on`` bits yields the given pattern."""
-    on = _as_qubitset(on)
     if not 0 <= pattern < 2 ** len(on):
         raise ConfigurationError(f"pattern {pattern} outside width {len(on)}")
     return float(marginal_distribution(sv, on)[pattern])
@@ -543,23 +504,19 @@ def _moved(sv: Statevector, dest: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_phase_flip_matrix(
-    sv: Statevector, marked: np.ndarray, on: QubitSet | Sequence[int]
-) -> np.ndarray:
+def dense_phase_flip_matrix(sv: Statevector, marked: np.ndarray, on: QubitSet) -> np.ndarray:
     """Reference output of ``apply_phase_flip``: a sign per basis index."""
-    on = _as_qubitset(on)
     marked = _checked_mask(marked, on)
     idx = np.arange(sv.dim)
     return np.where(marked[_subpattern(idx, on)], -1.0, 1.0) * sv.amplitudes
 
 
-def dense_diffusion_matrix(sv: Statevector, on: QubitSet | Sequence[int]) -> np.ndarray:
+def dense_diffusion_matrix(sv: Statevector, on: QubitSet) -> np.ndarray:
     """Reference output of ``apply_diffusion``: 2 * block mean - amplitude.
 
     A block is the set of basis indices that agree outside ``on``; its id
     is the index with the ``on`` bits cleared.
     """
-    on = _as_qubitset(on)
     idx = np.arange(sv.dim)
     mask = 0
     for q in on.indices:
@@ -573,23 +530,18 @@ def dense_diffusion_matrix(sv: Statevector, on: QubitSet | Sequence[int]) -> np.
 
 
 def dense_bit_flip_matrix(
-    sv: Statevector,
-    target: int,
-    marked: np.ndarray,
-    on: QubitSet | Sequence[int],
+    sv: Statevector, target: int, marked: np.ndarray, on: QubitSet
 ) -> np.ndarray:
     """Reference output of ``apply_conditional_bit_flip``: a destination per index."""
-    on = _as_qubitset(on)
     marked = _checked_mask(marked, on)
     idx = np.arange(sv.dim)
     return _moved(sv, np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx))
 
 
 def dense_index_map_matrix(
-    sv: Statevector, mapping: Sequence[int], on: QubitSet | Sequence[int]
+    sv: Statevector, mapping: Sequence[int], on: QubitSet
 ) -> np.ndarray:
     """Reference output of ``apply_index_map``: a destination per index."""
-    on = _as_qubitset(on)
     arr = np.asarray(mapping, dtype=np.int64)
     idx = np.arange(sv.dim)
     sub = _subpattern(idx, on)

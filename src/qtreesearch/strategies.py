@@ -13,10 +13,10 @@ that problem description:
   that candidate, keeping the blocks and the candidate register product.
 
 Every pipeline runs ``grover.Stage`` records, built by the constructors
-below, through ``grover.amplify``, which counts their rounds in a
-QueryCounter. Each simulated state is one Register: the pipeline opens it,
-runs every stage on it in place, and freezes it once into the Statevector
-it returns.
+below, through ``grover.amplify``, which counts their rounds in the
+caller's QueryCounter. Each simulated state is one Register: the pipeline
+opens it, runs every stage on it in place, and freezes it once into the
+Statevector it returns.
 Patterns stay ints: a measured state's top outcome is a basis index, which
 one oracle query checks, and the one ``Measurement`` record holds the
 state, its counts, the checked label and the verdict. Block read-outs are
@@ -171,9 +171,7 @@ def upper_stage(problem: SearchProblem) -> Stage:
     return Stage.standard(marked, problem.all_qubits, problem.upper_qubits)
 
 
-def prepare_candidates(
-    problem: SearchProblem, sv: Register, counter: QueryCounter | None = None
-) -> Register:
+def prepare_candidates(problem: SearchProblem, sv: Register, counter: QueryCounter) -> Register:
     """Amplify the candidate set on qubits 0..g-1 of a register uniform over them."""
     lower = problem.lower_qubits
     stage = Stage.standard(problem.candidates.mask(), lower, lower, problem.v)
@@ -188,9 +186,7 @@ def require_matching_candidate(problem: SearchProblem) -> None:
         )
 
 
-def entangled_nested(
-    problem: SearchProblem, counter: QueryCounter | None = None
-) -> Statevector:
+def entangled_nested(problem: SearchProblem, counter: QueryCounter) -> Statevector:
     """Candidate amplification followed by global-oracle upper amplification.
 
     The upper rounds mark the full solution, so only the upper block paired
@@ -202,9 +198,7 @@ def entangled_nested(
     return amplify(sv, (upper_stage(problem),), counter).freeze()
 
 
-def product_subspace_search(
-    problem: SearchProblem, counter: QueryCounter | None = None
-) -> Statevector:
+def product_subspace_search(problem: SearchProblem, counter: QueryCounter) -> Statevector:
     """Amplify candidates and the upper target independently.
 
     Uses the factored upper oracle directly, so the halves never interact:
@@ -222,9 +216,7 @@ def trial_stages(problem: SearchProblem, k: int) -> tuple[Stage, Stage]:
     return candidate_stage(problem, k), upper_stage(problem)
 
 
-def iterative_trial_state(
-    problem: SearchProblem, k: int, counter: QueryCounter | None = None
-) -> Statevector:
+def iterative_trial_state(problem: SearchProblem, k: int, counter: QueryCounter) -> Statevector:
     """Pre-measurement state of the k-th trial (1-based candidate order).
 
     One trial amplifies candidate k alone on the lower half, then runs the
@@ -235,30 +227,17 @@ def iterative_trial_state(
     return amplify(init_uniform(problem.m), trial_stages(problem, k), counter).freeze()
 
 
-class IterativeOutcome(NamedTuple):
-    trials: tuple[Measurement, ...]
-
-    @property
-    def result(self) -> Measurement:
-        """The last trial: verified, or the exhausted search."""
-        return self.trials[-1]
-
-
 def iterative_search(
-    problem: SearchProblem,
-    shots_per_trial: int = 256,
-    seed: int = 0,
-    counter: QueryCounter | None = None,
-) -> IterativeOutcome:
+    problem: SearchProblem, shots_per_trial: int, seed: int, counter: QueryCounter
+) -> tuple[Measurement, ...]:
     """Try candidates in order; measure each trial and verify classically.
 
     Each trial costs r_lower + r_upper quantum queries plus one classical
     evaluation of the top outcome. The loop stops at the first verified
-    trial; exhausting the candidates returns an unverified result rather
-    than raising. Every trial's measurement is returned in order.
+    trial; exhausting the candidates ends on an unverified trial rather
+    than raising. Every trial's measurement is returned in order, so the
+    last one is the search's result.
     """
-    if counter is None:
-        counter = QueryCounter()
     trials = []
     for k in range(1, problem.v + 1):
         sv = iterative_trial_state(problem, k, counter)
@@ -267,7 +246,7 @@ def iterative_search(
         )
         if trials[-1].verified:
             break
-    return IterativeOutcome(trials=tuple(trials))
+    return tuple(trials)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +344,7 @@ def block_stages(problem: SearchProblem, layout: CompositeLayout) -> tuple[Stage
     )
 
 
-def disentangled_search(
-    problem: SearchProblem, counter: QueryCounter | None = None
-) -> DisentangledOutcome:
+def disentangled_search(problem: SearchProblem, counter: QueryCounter) -> DisentangledOutcome:
     """Score every candidate at once in its own upper block.
 
     The candidate register is amplified over the candidate set; each block k
@@ -403,11 +380,7 @@ def disentangled_search(
 
 
 def recover_candidate(
-    problem: SearchProblem,
-    k: int,
-    shots: int = 256,
-    seed: int = 0,
-    counter: QueryCounter | None = None,
+    problem: SearchProblem, k: int, shots: int, seed: int, counter: QueryCounter
 ) -> Measurement:
     """Fresh lower-half search for candidate k, completing the solution.
 
@@ -415,7 +388,5 @@ def recover_candidate(
     spends the standard lower budget to read the candidate string back out
     and verifies the assembled string classically.
     """
-    if counter is None:
-        counter = QueryCounter()
     sv = amplify(init_uniform(problem.g), (candidate_stage(problem, k),), counter).freeze()
     return measure_and_verify(problem, sv, shots, (seed, k), counter, k)

@@ -30,7 +30,6 @@ from qtreesearch.statevector import (
     basis_state,
     init_uniform,
     partition_purity,
-    probabilities,
     probability_map,
     qubit_range,
 )
@@ -82,8 +81,10 @@ def _four_candidate_problem() -> SearchProblem:
 
 def test_criterion_01_one_rotation_exactness():
     def simulate() -> float:
-        sv = run_grover(init_uniform(2), np.arange(4) == 2, qubit_range(0, 2), rounds=1)
-        return float(probabilities(sv.freeze())[2])
+        sv = run_grover(
+            init_uniform(2), np.arange(4) == 2, qubit_range(0, 2), 1, QueryCounter()
+        )
+        return float(sv.freeze().probabilities[2])
 
     simulate()
     timings = []
@@ -112,8 +113,10 @@ def test_criterion_02_analytic_success_law():
                 continue
             marked = np.arange(n) < k
             for rounds in range(0, 9):
-                sv = run_grover(init_uniform(m), marked, qubit_range(0, m), rounds).freeze()
-                simulated = float(probabilities(sv)[:k].sum())
+                sv = run_grover(
+                    init_uniform(m), marked, qubit_range(0, m), rounds, QueryCounter()
+                ).freeze()
+                simulated = float(sv.probabilities[:k].sum())
                 predicted = success_probability(n, k, rounds)
                 worst = max(worst, abs(simulated - predicted))
                 cells += 1
@@ -123,7 +126,7 @@ def test_criterion_02_analytic_success_law():
 
 def test_criterion_03_product_reproduction():
     problem = _five_qubit_problem()
-    sv = product_subspace_search(problem)
+    sv = product_subspace_search(problem, QueryCounter())
     dist = probability_map(sv)
     first = dist.get("10011", 0.0)
     second = dist.get("10101", 0.0)
@@ -143,13 +146,14 @@ def test_criterion_03_product_reproduction():
 
 def test_criterion_04_one_over_v_law():
     problem = _five_qubit_problem()
-    dist = probability_map(entangled_nested(problem))
+    sv = entangled_nested(problem, QueryCounter())
+    dist = probability_map(sv)
     peak = dist.get("10101", 0.0)
     residues = [dist.get(f"{z:02b}011", 0.0) for z in range(4)]
-    purity = partition_purity(entangled_nested(problem), problem.lower_qubits)
+    purity = partition_purity(sv, problem.lower_qubits)
 
     four = _four_candidate_problem()
-    quarter_peak = probability_map(entangled_nested(four)).get("101011", 0.0)
+    quarter_peak = probability_map(entangled_nested(four, QueryCounter())).get("101011", 0.0)
 
     ok = (
         0.42 <= peak <= 0.52
@@ -194,7 +198,7 @@ def test_criterion_05_iterative_sweep():
 
 def test_criterion_06_disentangled_blocks():
     problem = _six_qubit_problem()
-    outcome = disentangled_search(problem)
+    outcome = disentangled_search(problem, QueryCounter())
     match = problem.matching_candidate_index()
     target = problem.upper_target
     distributions = {
@@ -274,11 +278,11 @@ def test_criterion_07_permutation():
             )
 
     problem = _five_qubit_problem()
-    exact = probability_map(compacted_search_state(problem).state).get("10101", 0.0)
     counter = QueryCounter()
+    state = compacted_search_state(problem, counter, "grover", "little_endian").state
+    exact = probability_map(state).get("10101", 0.0)
     result = measure_and_verify(
-        problem, compacted_search_state(problem, counter).state, 256, 1, counter,
-        problem.matching_candidate_index(),
+        problem, state, 256, 1, counter, problem.matching_candidate_index()
     )
     ok = (
         matrices_ok

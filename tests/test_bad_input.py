@@ -1,6 +1,7 @@
 """Bad input: every faulty config, override and sweep flag exits 1 with one
-field-level line, before any strategy runs; an ``--out`` that cannot be
-written exits 1 with one line and leaves no temp file."""
+field-level line, and every faulty cost flag with one line naming the flag,
+before any strategy runs; an ``--out`` that cannot be written exits 1 with
+one line and leaves no temp file."""
 
 import json
 
@@ -9,6 +10,7 @@ import pytest
 import qtreesearch.runner as runmod
 from qtreesearch.cli import main
 from qtreesearch.config import bundled_configs, config_from_mapping
+from qtreesearch.costs import STRATEGIES
 from qtreesearch.runner import EXIT_CONFIG_ERROR
 
 PRODUCT = {
@@ -210,6 +212,21 @@ BAD_OVERRIDES = {
     ),
 }
 
+BAD_COST_FLAGS = {
+    "m-range-zero": (
+        ("cost", "--m-range", "0"),
+        "--m-range: expected one or more values of at least 1, got '0'",
+    ),
+    "v-range-zero": (
+        ("cost", "--v-range", "0"),
+        "--v-range: expected one or more values of at least 1, got '0'",
+    ),
+    "strategies-unknown": (
+        ("cost", "--strategies", "warp"),
+        f"--strategies: unknown strategies ['warp'], pick from {STRATEGIES}",
+    ),
+}
+
 # a run of each subcommand that succeeds up to the write
 WRITTEN_COMMANDS = {
     "run": ("run", "--config", "fig_a_basic_2", "--format", "json"),
@@ -287,6 +304,12 @@ def test_bad_verify_config_exits_one_naming_file_and_field(
 def test_bad_override_exits_one_naming_the_field(case, capsys, strategy_calls):
     argv, field, message = BAD_OVERRIDES[case]
     _exits_one_with(argv, f"field {field!r}: {message}", capsys, strategy_calls)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COST_FLAGS))
+def test_bad_cost_flag_exits_one_naming_the_flag(case, capsys, strategy_calls):
+    argv, line = BAD_COST_FLAGS[case]
+    _exits_one_with(argv, line, capsys, strategy_calls)
 
 
 @pytest.mark.parametrize("base", [PRODUCT, DISENTANGLED, WIDE_ENTANGLED, WIDE_PERMUTATION])

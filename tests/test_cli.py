@@ -137,6 +137,21 @@ class TestRun:
         assert "block 2 candidate=101" in out
         assert "winning block: 1" in out
 
+    def test_disentangled_text_without_a_winner_reports_no_result(self, tmp_path, capsys):
+        # m - g = 1: both blocks end at 0.5, below the decision threshold,
+        # so no candidate is recovered and the run exits unverified
+        config = write_config(
+            tmp_path,
+            "strategy: disentangled\nm: 4\ng: 3\nupper_oracle: [1]\n"
+            'lower_oracle: [-3, 2, 1]\ncandidates: ["011", "101"]\n',
+        )
+        assert run_cli("run", "--config", config, "--format", "text") == EXIT_UNVERIFIED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:4] == [
+            "result: verified=false found=- (no winning block)",
+            "winning block: None",
+        ]
+
     def test_purity_cut_override(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -248,10 +263,13 @@ class TestCost:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--m-range", "0"), "register width must be >= 1, got 0"),
+            (("--m-range", "0"), "--m-range: expected one or more values of at least 1, got '0'"),
             # baseline rows never read v, yet v = 0 is still rejected
-            (("--v-range", "0", "--strategies", "baseline"), "candidate count must be >= 1, got 0"),
-            (("--m-range", ","), "cost table needs non-empty m, v, and strategy lists"),
+            (
+                ("--v-range", "0", "--strategies", "baseline"),
+                "--v-range: expected one or more values of at least 1, got '0'",
+            ),
+            (("--m-range", ","), "--m-range: expected one or more values of at least 1, got ','"),
             (("--strategies", ","), "cost table needs non-empty m, v, and strategy lists"),
         ],
     )

@@ -27,7 +27,6 @@ from qtreesearch.statevector import (
     init_uniform,
     marginal_probability,
     partition_purity,
-    probabilities,
     qubit_range,
     qubits,
 )
@@ -88,8 +87,8 @@ class TestSuccessProbability:
             st.sets(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
         )
         marked = np.isin(np.arange(n), list(chosen))
-        sv = run_grover(init_uniform(m), marked, qubit_range(0, m), r).freeze()
-        mass = float(probabilities(sv)[marked].sum())
+        sv = run_grover(init_uniform(m), marked, qubit_range(0, m), r, QueryCounter()).freeze()
+        mass = float(sv.probabilities[marked].sum())
         assert mass == pytest.approx(success_probability(n, k, r), abs=1e-9)
 
 
@@ -99,7 +98,7 @@ class TestRunGrover:
         sv = run_grover(
             init_uniform(3), np.arange(8) == 0b101, qubit_range(0, 3), 2, counter
         ).freeze()
-        assert probabilities(sv)[0b101] == pytest.approx(0.9453125, abs=1e-6)
+        assert sv.probabilities[0b101] == pytest.approx(0.9453125, abs=1e-6)
         assert counter.oracle_calls == 2
         assert counter.diffusion_calls == 2
         assert counter.total == 4
@@ -107,7 +106,9 @@ class TestRunGrover:
     def test_subregister_search_leaves_the_rest_untouched(self):
         # amplify 11 on the low two qubits of a 4-qubit register: the high
         # half keeps its uniform marginal and the cut stays product
-        sv = run_grover(init_uniform(4), np.arange(4) == 0b11, qubits(0, 1), 1).freeze()
+        sv = run_grover(
+            init_uniform(4), np.arange(4) == 0b11, qubits(0, 1), 1, QueryCounter()
+        ).freeze()
         assert marginal_probability(sv, qubits(0, 1), 0b11) == pytest.approx(1.0)
         for pattern in range(4):
             assert marginal_probability(sv, qubits(2, 3), pattern) == pytest.approx(0.25)
@@ -115,9 +116,11 @@ class TestRunGrover:
 
     def test_zero_rounds_is_identity(self):
         sv = init_uniform(3)
-        out = run_grover(sv, np.arange(8) == 0, qubit_range(0, 3), 0)
+        counter = QueryCounter()
+        out = run_grover(sv, np.arange(8) == 0, qubit_range(0, 3), 0, counter)
         assert out is sv
         assert np.allclose(out.amplitudes, 1 / math.sqrt(8))
+        assert counter.total == 0
 
     def test_rotation_angle_range(self):
         assert rotation_angle(4, 4) == pytest.approx(math.pi / 2)
@@ -141,14 +144,17 @@ class TestAmplifyLoop:
         sv = _random_state(6, 1)
         register = Register.copy_of(sv)
         array = register.amplitudes
-        assert amplify(register, [Stage(MARKED, FLIP_ON, DIFFUSE_ON, rounds)]) is register
+        stage = Stage(MARKED, FLIP_ON, DIFFUSE_ON, rounds)
+        assert amplify(register, [stage], QueryCounter()) is register
         assert register.amplitudes is array
         assert (register.amplitudes.tobytes() == sv.amplitudes.tobytes()) == (rounds == 0)
 
     def test_rounds_match_kernel_calls_under_a_cross_check(self):
         sv = _random_state(6, 2)
         with KernelCrossCheck() as looped:
-            out = amplify(Register.copy_of(sv), [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 3)])
+            out = amplify(
+                Register.copy_of(sv), [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 3)], QueryCounter()
+            )
         with KernelCrossCheck() as called:
             expected = Register.copy_of(sv)
             for _ in range(3):
@@ -179,7 +185,11 @@ class TestAmplifyLoop:
         monkeypatch.setattr(grover, "apply_phase_flip", scaled_third_flip)
         monkeypatch.setattr(grover, "apply_diffusion", counted_diffusion)
         with pytest.raises(ValidationError, match="norm"):
-            amplify(Register.copy_of(_random_state(6, 3)), [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 5)])
+            amplify(
+                Register.copy_of(_random_state(6, 3)),
+                [Stage(MARKED, FLIP_ON, DIFFUSE_ON, 5)],
+                QueryCounter(),
+            )
         assert (len(flips), len(diffusions)) == (3, 3)
 
     def test_stages_run_in_order_and_count_every_round(self):
@@ -188,14 +198,18 @@ class TestAmplifyLoop:
         counter = QueryCounter()
         with KernelCrossCheck() as check:
             out = amplify(Register.copy_of(_random_state(6, 4)), [first, second], counter)
-        expected = amplify(amplify(Register.copy_of(_random_state(6, 4)), [first]), [second])
+        apart = QueryCounter()
+        expected = amplify(
+            amplify(Register.copy_of(_random_state(6, 4)), [first], apart), [second], apart
+        )
         assert [label for label, _ in check.records] == ["phase_flip", "diffusion"] * 3
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
         assert (counter.oracle_calls, counter.diffusion_calls) == (3, 3)
 
     def test_negative_rounds_are_rejected(self):
         with pytest.raises(ConfigurationError, match="rounds"):
-            amplify(init_uniform(2), [Stage(np.arange(4) == 0, qubits(0, 1), qubits(0, 1), -1)])
+            stage = Stage(np.arange(4) == 0, qubits(0, 1), qubits(0, 1), -1)
+            amplify(init_uniform(2), [stage], QueryCounter())
 
 
 class TestStandardStage:

@@ -172,7 +172,7 @@ class TestPermutationProperties:
     @settings(max_examples=30, deadline=None)
     def test_transpose_round_trip(self, paths, seed):
         width = paths.width
-        spec = build_permutation(paths)
+        spec = build_permutation(paths, "standard")
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         amps /= np.linalg.norm(amps)
@@ -221,20 +221,22 @@ class TestCnotRealization:
             assert np.allclose(out.amplitudes, expect.amplitudes, atol=1e-12)
 
     def test_wrong_flag_count_rejected(self):
-        spec = build_permutation(_paths("011", "101"))
+        spec = build_permutation(_paths("011", "101"), "standard")
         with pytest.raises(ConfigurationError):
             apply_cnot_permutation(init_uniform(4), spec, qubit_range(0, 3), qubits(3, 4))
 
     def test_overlapping_registers_rejected(self):
-        spec = build_permutation(_paths("011", "101"))
+        spec = build_permutation(_paths("011", "101"), "standard")
         with pytest.raises(ConfigurationError):
             apply_cnot_permutation(init_uniform(5), spec, qubit_range(0, 3), qubits(2, 3))
 
 
-def _verified_search(problem, counter=None, shots=256, seed=0, **options):
+def _verified_search(
+    problem, counter=None, shots=256, seed=0, prep="grover", convention="little_endian"
+):
     """The compacted search, sampled and checked as a permutation run checks it."""
     counter = QueryCounter() if counter is None else counter
-    sv = compacted_search_state(problem, counter, **options).state
+    sv = compacted_search_state(problem, counter, prep, convention).state
     return measure_and_verify(
         problem, sv, shots, seed, counter, problem.matching_candidate_index()
     )
@@ -244,7 +246,7 @@ class TestCompactedSearch:
     def test_exact_success_probability(self):
         problem = five_qubit_problem()
         for prep in ("grover", "basis"):
-            sv = compacted_search_state(problem, prep=prep).state
+            sv = compacted_search_state(problem, QueryCounter(), prep, "little_endian").state
             dist = probability_map(sv)
             assert dist["10101"] == pytest.approx(TWO_ROUND_EIGHT, abs=1e-12)
 
@@ -280,7 +282,9 @@ class TestCompactedSearch:
 
     def test_unknown_prep_rejected(self):
         with pytest.raises(ConfigurationError):
-            compacted_search_state(five_qubit_problem(), prep="adiabatic")
+            compacted_search_state(
+                five_qubit_problem(), QueryCounter(), "adiabatic", "little_endian"
+            )
 
     def test_idle_lower_qubits_stay_clear(self):
         # After relabeling, all support must sit inside code block x upper
@@ -323,7 +327,8 @@ class TestCompactedSearch:
         # solution whose lower string is no candidate keeps its prepared
         # weight and the final state stays uniform over every pattern
         problem = self._half_filled_problem(upper, target)
-        weights = probability_map(compacted_search_state(problem).state)
+        state = compacted_search_state(problem, QueryCounter(), "grover", "little_endian").state
+        weights = probability_map(state)
         assert len(weights) == 2**problem.m
         assert weights[problem.upper_target_bits + target] == pytest.approx(2.0**-problem.m)
         assert max(weights.values()) == pytest.approx(2.0**-problem.m)

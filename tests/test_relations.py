@@ -4,9 +4,11 @@ The strategies solve one problem in different ways, so on a random problem
 (m <= 8, any split, targets, candidate count and order) their states must
 agree where the paper says they do: product and entangled put the same
 mass on the solution and leave the same lower marginal, the disentangled
-candidate register carries that marginal too, and only the entangled run
-ties the halves together. None of these relations reads a strategy's own
-qubit sets or masks.
+candidate register carries that marginal too, only the entangled run ties
+the halves together, and its upper half stays uniform beside every
+candidate that does not complete the solution. The strategies that
+measure and check report the same answer. None of these relations reads a
+strategy's own qubit sets or masks.
 
 The query counts are checked against the floor(pi/4 * sqrt(N/k)) rules,
 spelled out here rather than read from the package.
@@ -26,7 +28,6 @@ from qtreesearch.statevector import (
     MAX_QUBITS,
     marginal_distribution,
     partition_purity,
-    probabilities,
 )
 from qtreesearch.strategies import (
     DECISION_THRESHOLD,
@@ -74,12 +75,12 @@ class TestStrategiesAgree:
     @settings(max_examples=60, deadline=None)
     @given(problems())
     def test_product_and_entangled_differ_only_in_entanglement(self, problem):
-        product = product_subspace_search(problem)
-        entangled = entangled_nested(problem)
+        product = product_subspace_search(problem, QueryCounter())
+        entangled = entangled_nested(problem, QueryCounter())
         solution = _solution(problem)
         # the upper rounds act inside each lower fiber, and on the solution
         # fiber both oracles mark the same upper pattern
-        assert probabilities(product)[solution] == probabilities(entangled)[solution]
+        assert product.probabilities[solution] == entangled.probabilities[solution]
         lower = problem.lower_qubits
         assert np.allclose(
             marginal_distribution(product, lower),
@@ -95,11 +96,11 @@ class TestStrategiesAgree:
     @settings(max_examples=40, deadline=None)
     @given(problems(composite=True))
     def test_disentangled_candidates_and_winner(self, problem):
-        outcome = disentangled_search(problem)
+        outcome = disentangled_search(problem, QueryCounter())
         lower = problem.lower_qubits
         assert np.allclose(
             marginal_distribution(outcome.state, lower),
-            marginal_distribution(product_subspace_search(problem), lower),
+            marginal_distribution(product_subspace_search(problem, QueryCounter()), lower),
             rtol=0,
             atol=1e-12,
         )
@@ -108,6 +109,23 @@ class TestStrategiesAgree:
         target = outcome.distributions[matching - 1][problem.upper_target]
         assert (outcome.winning_index == matching) == (target > DECISION_THRESHOLD)
         assert outcome.winning_index in (matching, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems())
+    def test_entangled_upper_half_stays_uniform_beside_other_candidates(self, problem):
+        # row z, column y: the probability of (z << g) | y. The upper rounds
+        # mark nothing in a fiber whose lower string is not the solution,
+        # and a diffusion leaves a uniform fiber as it is
+        p = entangled_nested(problem, QueryCounter()).probabilities
+        by_lower = p.reshape(2 ** (problem.m - problem.g), 2**problem.g)
+        for y in problem.candidates.candidates:
+            if y != problem.lower_solution:
+                conditioned = by_lower[:, y] / by_lower[:, y].sum()
+                assert np.allclose(conditioned, conditioned.mean(), rtol=0, atol=1e-12)
+
+
+def _both_halves_searched(problem):
+    return problem.g >= 2 and problem.m - problem.g >= 2
 
 
 def _rounds(n, k=1):
@@ -173,3 +191,20 @@ class TestQueryCounts:
         )
         _, counts = _counted(_config(problem, "permutation", prep))
         assert counts == (quantum + 1, quantum)
+
+
+class TestSameAnswer:
+    @settings(max_examples=30, deadline=None)
+    @given(problems(composite=True).filter(_both_halves_searched))
+    def test_every_measuring_strategy_finds_the_solution(self, problem):
+        # with two or more qubits in each half, the matching block clears
+        # the decision threshold and every measured search peaks on the
+        # solution. Grover preparation leaves the compacted search uniform
+        # only when v fills its code block, so other v prepare by basis
+        prep = "grover" if problem.v & (problem.v - 1) == 0 else "basis"
+        solution = format(_solution(problem), f"0{problem.m}b")
+        found = {
+            strategy: _counted(_config(problem, strategy, prep))[0].result.found
+            for strategy in ("iterative", "permutation", "disentangled")
+        }
+        assert found == dict.fromkeys(found, solution)

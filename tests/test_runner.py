@@ -219,7 +219,7 @@ TEN_BIT_PATHS = PartialCandidateSet.from_strings(
 
 def test_cnot_check_covers_a_relabeling_wider_than_twelve_qubits():
     # g = 10 data qubits and 4 flags: one pass sees all 1024 data patterns
-    spec = permmod.build_permutation(TEN_BIT_PATHS)
+    spec = permmod.build_permutation(TEN_BIT_PATHS, "standard")
     report = runmod._cnot_equivalence(spec)
     assert report == {"basis_states": 1024, "flag_qubits": 4, "max_deviation": 0.0}
 
@@ -227,7 +227,7 @@ def test_cnot_check_covers_a_relabeling_wider_than_twelve_qubits():
 @pytest.mark.parametrize("a, b", [(0, 1), (5, 1023)])
 def test_cnot_check_sees_any_two_patterns_traded(a, b):
     # a mapping the gates do not realize: two of its entries traded
-    spec = permmod.build_permutation(TEN_BIT_PATHS)
+    spec = permmod.build_permutation(TEN_BIT_PATHS, "standard")
     mapping = list(spec.mapping)
     mapping[a], mapping[b] = mapping[b], mapping[a]
     wrong = permmod.PermutationSpec(

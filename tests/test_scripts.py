@@ -51,6 +51,8 @@ def test_cost_tables_text_matches_golden():
     "argv, message",
     [
         (("cost_tables.py", "--m", "x"), "cannot parse --m 'x'"),
+        (("cost_tables.py", "--m", "0"), "--m: expected one or more values of at least 1"),
+        (("cost_tables.py", "--v", "0"), "--v: expected one or more values of at least 1"),
         (("cost_tables.py", "--m", "1024"), "--m/--v: m=1024 (with v=2) makes the baseline cost"),
         (("run_figures.py", "--seed", "-1"), "seed must be non-negative, got -1"),
     ],

@@ -27,7 +27,6 @@ from qtreesearch.statevector import (
     marginal_distribution,
     marginal_probability,
     partition_purity,
-    probabilities,
     probability_map,
     qubit_range,
     qubits,
@@ -315,13 +314,13 @@ class TestIndexMap:
 class TestMeasurement:
     def test_probabilities_sum_to_one(self):
         sv = random_state(4, seed=3)
-        assert probabilities(sv).sum() == pytest.approx(1.0)
+        assert sv.probabilities.sum() == pytest.approx(1.0)
 
     def test_probabilities_are_one_read_only_vector(self):
         sv = random_state(4, seed=3)
-        assert probabilities(sv) is probabilities(sv)
+        assert sv.probabilities is sv.probabilities
         with pytest.raises(ValueError):
-            probabilities(sv)[0] = 0.5
+            sv.probabilities[0] = 0.5
 
     @given(
         st.integers(1, 12).flatmap(
@@ -334,7 +333,7 @@ class TestMeasurement:
     def test_marginal_equals_the_squared_amplitude_rows_bit_for_bit(self, case):
         m, chosen, seed = case
         sv = random_state(m, seed)
-        on = tuple(sorted(chosen))
+        on = qubits(*sorted(chosen))
         # the amplitudes laid out by ``_rows``, squared, then summed per row
         reference = np.sum(np.abs(svmod._rows(sv, on)) ** 2, axis=1)
         assert np.array_equal(marginal_distribution(sv, on), reference)
@@ -356,7 +355,7 @@ class TestMeasurement:
         # same entries, in the same (ascending index) order, as one loop over
         # every basis index
         sv = random_state(5, seed=4)
-        p = probabilities(sv)
+        p = sv.probabilities
         expected = [(format(i, "05b"), float(p[i])) for i in range(32) if p[i] > 1e-12]
         assert list(probability_map(sv).items()) == expected
         counts = np.random.default_rng(2).multinomial(100, p / p.sum())
@@ -371,7 +370,7 @@ class TestMeasurement:
         # sub-pattern 0b01 on qubits (0, 2) is held by basis indices 0b001
         # and 0b011
         sv = random_state(3, seed=23)
-        p = probabilities(sv)
+        p = sv.probabilities
         assert marginal_probability(sv, qubits(0, 2), 0b01) == pytest.approx(p[1] + p[3])
         dist = marginal_distribution(sv, qubits(0, 2))
         assert dist == pytest.approx([p[0] + p[2], p[1] + p[3], p[4] + p[6], p[5] + p[7]])
@@ -451,7 +450,7 @@ class TestPurity:
 
     def test_rows_views_a_cut_of_the_lowest_or_highest_qubits(self):
         sv = random_state(14, 3)
-        for cut in (range(5), range(9, 14)):
+        for cut in (qubit_range(0, 5), qubit_range(9, 14)):
             assert np.shares_memory(svmod._rows(sv, cut), sv.amplitudes)
 
 
@@ -586,10 +585,10 @@ class TestKernelsAgreeWithMirrors:
     @settings(max_examples=60, deadline=None)
     def test_marginal_is_a_per_index_sum(self, case):
         sv, on, _, _ = case
-        p = probabilities(sv)
+        p = sv.probabilities
         expected = [0.0] * 2 ** len(on)
         for index in range(sv.dim):
-            expected[_subpattern_by_loop(index, on)] += p[index]
+            expected[_subpattern_by_loop(index, on.indices)] += p[index]
         assert marginal_distribution(sv, on) == pytest.approx(expected, abs=1e-12)
         for pattern, weight in enumerate(expected):
             assert marginal_probability(sv, on, pattern) == pytest.approx(weight, abs=1e-12)
@@ -604,8 +603,8 @@ class TestKernelsAgreeWithMirrors:
         rho = np.zeros((2 ** len(on), 2 ** len(on)), dtype=np.complex128)
         by_rest = {}
         for index in range(sv.dim):
-            key = _subpattern_by_loop(index, rest)
-            by_rest.setdefault(key, {})[_subpattern_by_loop(index, on)] = sv.amplitudes[index]
+            column = by_rest.setdefault(_subpattern_by_loop(index, rest), {})
+            column[_subpattern_by_loop(index, on.indices)] = sv.amplitudes[index]
         for column in by_rest.values():
             vec = np.array([column[p] for p in range(2 ** len(on))])
             rho += np.outer(vec, vec.conj())

@@ -135,7 +135,7 @@ class TestMeasureAndVerify:
 class TestPrepareCandidates:
     def test_quarter_marked_prep_is_exact(self):
         problem = five_qubit_problem()
-        sv = prepare_candidates(problem, init_uniform(problem.m)).freeze()
+        sv = prepare_candidates(problem, init_uniform(problem.m), QueryCounter()).freeze()
         probs = probability_map(sv)
         # all candidate mass, spread uniformly over upper values
         for upper in range(4):
@@ -155,12 +155,12 @@ class TestProductSubspace:
         assert counter.oracle_calls == 2
 
     def test_halves_stay_product(self):
-        sv = product_subspace_search(five_qubit_problem())
+        sv = product_subspace_search(five_qubit_problem(), QueryCounter())
         assert partition_purity(sv, qubits(0, 1, 2)) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_candidate_concentrates(self):
         problem = five_qubit_problem(candidate_strings=("101",))
-        sv = product_subspace_search(problem)
+        sv = product_subspace_search(problem, QueryCounter())
         assert probability_map(sv)["10101"] == pytest.approx(TWO_ROUND_EIGHT)
 
 
@@ -179,14 +179,14 @@ class TestEntangledNested:
     def test_halves_end_entangled(self):
         # rho_L has two half-weight candidates plus a 1/4 cross term from
         # the overlap of |10> with the uniform upper block: purity 5/8
-        sv = entangled_nested(five_qubit_problem())
+        sv = entangled_nested(five_qubit_problem(), QueryCounter())
         purity = partition_purity(sv, qubits(0, 1, 2))
         assert purity == pytest.approx(0.625, abs=1e-9)
         assert purity < 0.999
 
     def test_mass_scales_inversely_with_candidates(self):
         # v=2 at split 3: the matching block also pays the 8-state search loss
-        sv2 = entangled_nested(six_qubit_problem())
+        sv2 = entangled_nested(six_qubit_problem(), QueryCounter())
         assert probability_map(sv2)["001011"] == pytest.approx(TWO_ROUND_EIGHT / 2)
         # v=4 at split 4: both stages sit on exact rotations
         upper = ConjunctionOracle.from_signed_literals([2, -1], width=2)
@@ -195,16 +195,16 @@ class TestEntangledNested:
             global_oracle=ConcatenatedOracle(upper, lower),
             candidates=PartialCandidateSet.from_strings(["0011", "0101", "1011", "1110"]),
         )
-        sv4 = entangled_nested(problem)
+        sv4 = entangled_nested(problem, QueryCounter())
         assert probability_map(sv4)["101011"] == pytest.approx(0.25, abs=1e-12)
 
     def test_requires_a_matching_candidate(self):
         with pytest.raises(PreconditionError):
-            entangled_nested(five_qubit_problem(candidate_strings=("011", "110")))
+            entangled_nested(five_qubit_problem(candidate_strings=("011", "110")), QueryCounter())
 
     def test_single_matching_candidate_has_no_splitting_loss(self):
         problem = five_qubit_problem(candidate_strings=("101",))
-        sv = entangled_nested(problem)
+        sv = entangled_nested(problem, QueryCounter())
         assert probability_map(sv)["10101"] == pytest.approx(TWO_ROUND_EIGHT)
 
 
@@ -212,9 +212,7 @@ class TestIterativeSearch:
     def test_matching_candidate_first(self):
         problem = five_qubit_problem(candidate_strings=("101", "011"))
         counter = QueryCounter()
-        outcome = iterative_search(problem, seed=7, counter=counter)
-        result = outcome.result
-        assert result is outcome.trials[-1]
+        [result] = iterative_search(problem, 256, 7, counter)
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 1
@@ -224,37 +222,35 @@ class TestIterativeSearch:
     def test_mismatch_first_then_success(self):
         problem = five_qubit_problem()
         counter = QueryCounter()
-        outcome = iterative_search(problem, seed=7, counter=counter)
-        result = outcome.result
+        first, result = iterative_search(problem, 256, 7, counter)
         assert result.verified
         assert result.found == "10101"
         assert result.candidate_index == 2
         assert result.trials == 2
         assert counter.oracle_calls == 8
-        first = outcome.trials[0]
         assert not first.verified and first.found is None and first.candidate_index is None
 
     def test_mismatch_trial_spreads_over_the_upper_half(self):
         problem = five_qubit_problem()
-        probs = probability_map(iterative_trial_state(problem, 1))
+        probs = probability_map(iterative_trial_state(problem, 1, QueryCounter()))
         for upper in ("00", "01", "10", "11"):
             assert probs[upper + "011"] == pytest.approx(121 / 512, abs=1e-12)
         assert probs["10101"] == pytest.approx(1 / 128, abs=1e-12)
 
     def test_matching_trial_concentrates(self):
         problem = five_qubit_problem()
-        probs = probability_map(iterative_trial_state(problem, 2))
+        probs = probability_map(iterative_trial_state(problem, 2, QueryCounter()))
         assert probs["10101"] == pytest.approx(TWO_ROUND_EIGHT)
 
     def test_matching_trial_histogram_dominated_by_the_solution(self):
         problem = five_qubit_problem()
-        sv = iterative_trial_state(problem, 2)
+        sv = iterative_trial_state(problem, 2, QueryCounter())
         counts = sample(sv, shots=256, seed=11)
         assert counts[0b10101] / 256 >= 0.9
 
     def test_exhaustion_returns_unverified(self):
         problem = five_qubit_problem(candidate_strings=("011", "110"))
-        result = iterative_search(problem, seed=3).result
+        result = iterative_search(problem, 256, 3, QueryCounter())[-1]
         assert not result.verified
         assert result.found is None
         assert result.trials == 2
@@ -272,7 +268,7 @@ class TestIterativeSearch:
                 candidates=PartialCandidateSet.from_strings([decoy, lower_bits]),
             )
             counter = QueryCounter()
-            result = iterative_search(problem, seed=13, counter=counter).result
+            result = iterative_search(problem, 256, 13, counter)[-1]
             assert result.verified
             assert result.found == "10" + lower_bits
             assert counter.oracle_calls <= 2 * (2 + 1 + 1)
@@ -313,7 +309,7 @@ class TestDisentangledSearch:
             return register
 
         monkeypatch.setattr(strategies, "prepare_candidates", recording)
-        state = disentangled_search(six_qubit_problem()).state
+        state = disentangled_search(six_qubit_problem(), QueryCounter()).state
         [(register, array)] = prepared
         assert state.amplitudes.base is array
         assert register.amplitudes is None
@@ -352,25 +348,25 @@ class TestDisentangledSearch:
         monkeypatch.setattr(grover, "apply_phase_flip", phase)
         monkeypatch.setattr(grover, "apply_diffusion", diffusion)
         with pytest.raises(ValidationError, match="norm"):
-            disentangled_search(six_qubit_problem())
+            disentangled_search(six_qubit_problem(), QueryCounter())
         assert calls == {"flip": 2 * faulty, "phase": 1 + faulty, "diffusion": 1 + faulty}
 
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()
-        state = disentangled_search(problem).state
+        state = disentangled_search(problem, QueryCounter()).state
         assert flag_excitation(problem, state, 1) == pytest.approx(0.0, abs=1e-12)
         assert flag_excitation(problem, state, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_candidate_register_stays_product(self):
         problem = six_qubit_problem()
-        state = disentangled_search(problem).state
+        state = disentangled_search(problem, QueryCounter()).state
         layout = disentangled_layout(problem)
         assert partition_purity(state, problem.lower_qubits) == pytest.approx(1.0, abs=1e-9)
         assert partition_purity(state, layout.block(1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_null_case_spreads_every_block(self):
         problem = six_qubit_problem(candidate_strings=("101", "110"))
-        outcome = disentangled_search(problem)
+        outcome = disentangled_search(problem, QueryCounter())
         assert outcome.winning_index is None
         for k in (1, 2):
             for p in block_distribution(problem, outcome.state, k):
@@ -378,7 +374,7 @@ class TestDisentangledSearch:
 
     def test_threshold_separates_cleanly(self):
         problem = six_qubit_problem()
-        state = disentangled_search(problem).state
+        state = disentangled_search(problem, QueryCounter()).state
         dist1 = block_distribution(problem, state, 1)
         dist2 = block_distribution(problem, state, 2)
         assert dist1[0b001] > DECISION_THRESHOLD
@@ -386,7 +382,7 @@ class TestDisentangledSearch:
 
     def test_outcome_distributions_are_arrays_indexed_by_pattern(self):
         problem = six_qubit_problem()
-        outcome = disentangled_search(problem)
+        outcome = disentangled_search(problem, QueryCounter())
         for k in (1, 2):
             dist = outcome.distributions[k - 1]
             assert isinstance(dist, np.ndarray) and dist.shape == (8,)
@@ -395,7 +391,7 @@ class TestDisentangledSearch:
 
     def test_requires_two_candidates(self):
         with pytest.raises(PreconditionError):
-            disentangled_search(six_qubit_problem(candidate_strings=("011",)))
+            disentangled_search(six_qubit_problem(candidate_strings=("011",)), QueryCounter())
         with pytest.raises(PreconditionError):
             disentangled_layout(six_qubit_problem(candidate_strings=("011",)))
 
@@ -407,12 +403,12 @@ class TestDisentangledSearch:
             candidates=PartialCandidateSet.from_strings(["011", "101", "110"]),
         )
         with pytest.raises(ConfigurationError):
-            disentangled_search(problem)
+            disentangled_search(problem, QueryCounter())
 
     def test_recover_candidate_completes_the_solution(self):
         problem = six_qubit_problem()
         counter = QueryCounter()
-        result = recover_candidate(problem, 1, seed=5, counter=counter)
+        result = recover_candidate(problem, 1, 256, 5, counter)
         assert isinstance(result, Measurement) and result.state.num_qubits == problem.g
         assert result.verified
         assert result.found == "001011"
@@ -421,6 +417,6 @@ class TestDisentangledSearch:
 
     def test_recover_wrong_candidate_fails_verification(self):
         problem = six_qubit_problem()
-        result = recover_candidate(problem, 2, seed=5)
+        result = recover_candidate(problem, 2, 256, 5, QueryCounter())
         assert not result.verified
         assert result.found is None

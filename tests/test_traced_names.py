@@ -106,7 +106,7 @@ def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
     calls = _count_calls(monkeypatch)
     stage = grover.Stage(np.arange(32) % 7 == 3, qubit_range(0, 5), qubit_range(2, 6), 4)
     register = init_uniform(6)
-    assert grover.amplify(register, [stage]) is register
+    assert grover.amplify(register, [stage], grover.QueryCounter()) is register
     assert calls == [("apply_phase_flip", 6), ("apply_diffusion", 6)] * 4
 
 
@@ -122,7 +122,7 @@ def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
         candidates=PartialCandidateSet.from_strings(["011", "101"]),
     )
     # the search opens one register and hands it to every kernel it calls
-    strategies.disentangled_search(problem)
+    strategies.disentangled_search(problem, grover.QueryCounter())
     prep = [("apply_phase_flip", 11), ("apply_diffusion", 11)]
     # per block round: compute the flag, flip its phase, uncompute, diffuse
     block_round = [
