@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -437,8 +438,8 @@ def _config_with_overrides(args) -> ExperimentConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        overrides["shots"] = args.shots
+    if args.shots is not None:
+        overrides["shots"] = overrides["shots_per_trial"] = args.shots
     if args.format is not None:
         overrides["format"] = args.format
     return dataclasses.replace(config, **overrides) if overrides else config
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", required=True, help=f"config path or bundled name ({names})"
     )
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--shots", type=int, default=None, help="override the shot count")
+    run_p.add_argument("--shots", type=int, default=None, help="set shots and shots_per_trial")
     run_p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     run_p.add_argument("--out", default=None, help="write here instead of stdout")
 
@@ -525,6 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser ``main`` reuses, built on first use
+_parser = functools.cache(build_parser)
+
+
 # subcommand -> (report, exit code, format) builder, csv renderer, text renderer
 _COMMANDS = {
     "run": (_cmd_run, render_run_csv, render_run_text),
@@ -536,7 +541,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one subcommand and write its report; text ends with the wall time."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command, render_csv, render_text = _COMMANDS[args.command]
     try:
         started = time.perf_counter()

@@ -128,8 +128,9 @@ def cost_table(ms, vs, strategies) -> list[dict]:
     its inputs gave them.
     """
     ms, vs, strategies = list(ms), list(vs), list(strategies)
-    if not ms or not vs or not strategies:
-        raise ConfigurationError("cost table needs non-empty m, v, and strategy lists")
+    for what, values in (("m", ms), ("v", vs), ("strategy", strategies)):
+        if not values:
+            raise ConfigurationError(f"cost table needs a non-empty {what} list")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ConfigurationError(f"unknown strategies {unknown}, pick from {STRATEGIES}")

@@ -118,16 +118,13 @@ def apply_cnot_permutation(
     patterns = np.arange(2**spec.width)
     flag_set = np.array([False, True])
     for (a, b), flag in zip(spec.transpositions, flags.indices):
-        mark_a = patterns == a
-        mark_b = patterns == b
-        apply_conditional_bit_flip(sv, flag, mark_a, data)
-        apply_conditional_bit_flip(sv, flag, mark_b, data)
+        member = (patterns == a) | (patterns == b)
+        apply_conditional_bit_flip(sv, flag, member, data)
         difference = a ^ b
         for j, q in enumerate(data.indices):
             if (difference >> j) & 1:
                 apply_conditional_bit_flip(sv, q, flag_set, qubits(flag))
-        apply_conditional_bit_flip(sv, flag, mark_a, data)
-        apply_conditional_bit_flip(sv, flag, mark_b, data)
+        apply_conditional_bit_flip(sv, flag, member, data)
     return sv
 
 

@@ -12,13 +12,15 @@ indexed by basis index: ``sample`` returns one count per index, and a
 measured pattern stays that index, so a label is formatted only where a
 report needs it.
 
-Every kernel addresses its qubits through one run view: a reshape, without
-a copy, with one axis per run of consecutive qubits of one kind (in
-``on``, the target, or neither). A sub-pattern indexes the ``on`` axes, one
-bit field per run, so a phase flip, bit flip or index map reads and writes
-only the sub-patterns it marks or moves, and a diffusion takes its mean
-over the ``on`` axes and overwrites the register with its result. A
-register is norm-checked once per round, by the loop, after the round's
+The kernels and the sub-pattern read-outs share one run view: a reshape
+of the amplitudes, without a copy, with one axis per run of consecutive
+qubits in ``on`` or not. A sub-pattern indexes the ``on`` axes, one bit
+field per run, so a phase flip negates only the sub-patterns it marks,
+and a diffusion takes its mean over the ``on`` axes and overwrites the
+register with its result. An index map and a bit flip move sub-patterns
+through one helper (``_move``); the bit flip swaps each marked pattern of
+``on`` and the target together, target bit 0, with the same pattern at 1.
+A register is norm-checked once per round, by the loop, after the round's
 diffusion, and again when it is frozen. Flips, swaps and index maps only
 negate or move amplitudes, so that one check still sees a fault from any
 kernel of the round.
@@ -27,9 +29,10 @@ A Statevector squares its amplitudes once, on first use, into a read-only
 probability vector (``probabilities``) that every read-out of the state
 shares: ``sample``, ``probability_map``, the histogram and each marginal.
 ``marginal_distribution`` and ``partition_purity`` view a per-index vector
-as a (2**k, rest) matrix whose row p is sub-pattern p (``_rows``): the
-marginal sums each row of the probabilities, and the purity is the squared
-Frobenius norm of the amplitude matrix's Gram matrix on its smaller side.
+as a (2**k, rest) matrix whose row p is sub-pattern p (``_rows``: the run
+view with the ``on`` axes moved to the front): the marginal sums each row
+of the probabilities, and the purity is the squared Frobenius norm of the
+amplitude matrix's Gram matrix on its smaller side.
 
 Every kernel also has an O(dim) reference, used by the cross-check
 context, that computes the same output from basis-index bit arithmetic
@@ -40,7 +43,6 @@ routes share no index code, so a fault in either shows as a deviation.
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import functools
 import math
@@ -241,35 +243,26 @@ def _unwritten(sv: Register) -> Statevector | None:
 
 # ---------------------------------------------------------------------------
 # kernels: each reshapes the amplitudes, without a copy, into one axis per
-# run of consecutive qubits of one kind (in ``on``, the target, or neither)
+# run of consecutive qubits of one kind (in ``on`` or not)
 
-def _run_view(
-    num_qubits: int, on: QubitSet, target: int | None = None
-) -> tuple[tuple[int, ...], list[tuple[int, int, int]], int | None]:
-    """Shape of the run view, the ``on`` runs' axes, and the target's axis.
+def _run_view(num_qubits: int, on: QubitSet) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """Shape of the run view and the ``on`` runs' axes.
 
     The shape lists the runs highest qubits first, as a C-order reshape of
     the flat amplitudes does. Each ``on`` run is given as (axis, shift,
-    width): its axis index is bits shift .. shift+width-1 of a sub-pattern.
-    Built from ``on`` and the target alone, in O(len(on)).
+    width), lowest run first: its axis index is bits shift .. shift+width-1
+    of a sub-pattern. Built from ``on`` alone, in O(len(on)).
     """
-    marks = [(q, j) for j, q in enumerate(on.indices)]
-    if target is not None:
-        bisect.insort(marks, (target, -1))
     widths: list[int] = []  # qubits per run, lowest run first
     fields: list[list[int]] = []  # [run, shift, width] per ``on`` run
-    target_run = None
     free = 0  # lowest qubit not yet in a run
-    for q, j in marks:
-        if q > free:
-            widths.append(q - free)
-        if j < 0:
-            target_run = len(widths)
-            widths.append(1)
-        elif fields and q == free and fields[-1][0] == len(widths) - 1:
+    for j, q in enumerate(on.indices):
+        if fields and q == free:
             widths[-1] += 1
             fields[-1][2] += 1
         else:
+            if q > free:
+                widths.append(q - free)
             fields.append([len(widths), j, 1])
             widths.append(1)
         free = q + 1
@@ -278,12 +271,12 @@ def _run_view(
     last = len(widths) - 1
     shape = tuple(1 << w for w in reversed(widths))
     axes = [(last - run, shift, width) for run, shift, width in fields]
-    return shape, axes, None if target_run is None else last - target_run
+    return shape, axes
 
 
 def _pattern_index(
     ndim: int, axes: list[tuple[int, int, int]], patterns: np.ndarray | int
-) -> list:
+) -> tuple:
     """Run-view index of the given sub-patterns, every other axis whole.
 
     An int pattern gives a basic index, which selects a view, not a copy.
@@ -291,7 +284,15 @@ def _pattern_index(
     index: list = [slice(None)] * ndim
     for axis, shift, width in axes:
         index[axis] = (patterns >> shift) & ((1 << width) - 1)
-    return index
+    return tuple(index)
+
+
+def _move(sv: Register, on: QubitSet, source: np.ndarray, dest: np.ndarray) -> None:
+    """Carry the amplitudes of ``on`` sub-patterns source[i] to dest[i]; the
+    sources are read as a copy, so the two may overlap, as in a swap."""
+    shape, axes = _run_view(sv.num_qubits, on)
+    view = sv.amplitudes.reshape(shape)
+    view[_pattern_index(len(shape), axes, dest)] = view[_pattern_index(len(shape), axes, source)]
 
 
 def _checked_mask(marked, on: QubitSet) -> np.ndarray:
@@ -315,7 +316,7 @@ def apply_phase_flip(sv: Register, marked: np.ndarray, on: QubitSet) -> Register
     if len(on) == 0:
         raise ConfigurationError("phase flip needs at least one qubit")
     marked = _checked_mask(marked, on)
-    shape, axes, _ = _run_view(sv.num_qubits, on)
+    shape, axes = _run_view(sv.num_qubits, on)
     before = _unwritten(sv)
     view = sv.amplitudes.reshape(shape)
     patterns = np.flatnonzero(marked)
@@ -323,7 +324,7 @@ def apply_phase_flip(sv: Register, marked: np.ndarray, on: QubitSet) -> Register
     # place; several are gathered, negated and scattered back
     if patterns.size == 1:
         patterns = int(patterns[0])
-    view[tuple(_pattern_index(len(shape), axes, patterns))] *= -1.0
+    view[_pattern_index(len(shape), axes, patterns)] *= -1.0
     _maybe_crosscheck("phase_flip", sv, lambda: dense_phase_flip_matrix(before, marked, on))
     return sv
 
@@ -337,7 +338,7 @@ def apply_diffusion(sv: Register, on: QubitSet) -> Register:
     on.validate_for(sv.num_qubits)
     if len(on) == 0:
         raise ConfigurationError("diffusion needs at least one qubit")
-    shape, axes, _ = _run_view(sv.num_qubits, on)
+    shape, axes = _run_view(sv.num_qubits, on)
     before = _unwritten(sv)
     view = sv.amplitudes.reshape(shape)
     mean = view.mean(axis=tuple(axis for axis, _, _ in axes), keepdims=True)
@@ -361,18 +362,15 @@ def apply_conditional_bit_flip(
     if target in on:
         raise ConfigurationError("target qubit may not be among the controls")
     marked = _checked_mask(marked, on)
-    shape, axes, target_axis = _run_view(sv.num_qubits, on, target)
     before = _unwritten(sv)
-    view = sv.amplitudes.reshape(shape)
+    # a swap on the sub-patterns of ``on`` and the target together: each
+    # marked pattern with the target bit at 0 trades places with itself at 1
+    joint = QubitSet(tuple(sorted((*on.indices, target))))
+    bit = joint.indices.index(target)
     patterns = np.flatnonzero(marked)
-    # the target is indexed by an array even with no controls, so both
-    # reads below are copies and the swap cannot alias
-    low = _pattern_index(len(shape), axes, patterns)
-    high = list(low)
-    low[target_axis] = np.zeros_like(patterns)
-    high[target_axis] = np.ones_like(patterns)
-    low, high = tuple(low), tuple(high)
-    view[low], view[high] = view[high], view[low]
+    low = ((patterns >> bit) << (bit + 1)) | (patterns & ((1 << bit) - 1))
+    high = low | (1 << bit)
+    _move(sv, joint, np.concatenate((low, high)), np.concatenate((high, low)))
     _maybe_crosscheck(
         "conditional_bit_flip", sv, lambda: dense_bit_flip_matrix(before, target, marked, on)
     )
@@ -386,13 +384,10 @@ def apply_index_map(sv: Register, mapping: Sequence[int], on: QubitSet) -> Regis
     arr = np.asarray(mapping, dtype=np.int64)
     if arr.shape != (2**k,) or not np.array_equal(np.sort(arr), np.arange(2**k)):
         raise ValidationError(f"mapping is not a bijection over {2**k} patterns")
-    shape, axes, _ = _run_view(sv.num_qubits, on)
     before = _unwritten(sv)
-    view = sv.amplitudes.reshape(shape)
-    # only the patterns that move are read (as a copy) and written
+    # only the patterns that move are read and written
     moved = np.flatnonzero(arr != np.arange(2**k))
-    source = tuple(_pattern_index(len(shape), axes, moved))
-    view[tuple(_pattern_index(len(shape), axes, arr[moved]))] = view[source]
+    _move(sv, on, moved, arr[moved])
     _maybe_crosscheck("index_map", sv, lambda: dense_index_map_matrix(before, mapping, on))
     return sv
 
@@ -421,17 +416,15 @@ def _rows(sv: Statevector, on: QubitSet, values: np.ndarray | None = None) -> np
     """The amplitudes, or other ``values`` by basis index, as a (2**k, rest)
     matrix; row p is sub-pattern p.
 
-    Bit j of p is qubit on.indices[j]. The columns run over the other
-    qubits in basis-index order. A view when ``on`` is a run of the lowest
-    or the highest qubits; otherwise a transposed copy.
+    The kernels' run view with the ``on`` axes moved to the front, highest
+    run first, so bit j of p is qubit on.indices[j]. The columns run over
+    the other qubits in basis-index order. A view when ``on`` is a run of
+    the lowest or the highest qubits; otherwise a C-contiguous copy.
     """
     values = sv.amplitudes if values is None else values
-    tensor = values.reshape((2,) * sv.num_qubits)
-    # qubit q is axis m-1-q of the (2,)*m tensor; on's highest qubit leads,
-    # and the other axes keep their order behind the leading ones
-    lead = [sv.num_qubits - 1 - q for q in reversed(on.indices)]
-    axes = lead + [a for a in range(sv.num_qubits) if a not in lead]
-    return tensor.transpose(axes).reshape(2 ** len(on), -1)
+    shape, axes = _run_view(sv.num_qubits, on)
+    lead = [axis for axis, _, _ in reversed(axes)]
+    return np.moveaxis(values.reshape(shape), lead, range(len(lead))).reshape(2 ** len(on), -1)
 
 
 def partition_purity(sv: Statevector, part: QubitSet) -> float:

@@ -225,6 +225,10 @@ BAD_COST_FLAGS = {
         ("cost", "--strategies", "warp"),
         f"--strategies: unknown strategies ['warp'], pick from {STRATEGIES}",
     ),
+    "strategies-empty": (
+        ("cost", "--strategies", ","),
+        "--strategies: cost table needs a non-empty strategy list",
+    ),
 }
 
 # a run of each subcommand that succeeds up to the write

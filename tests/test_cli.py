@@ -28,6 +28,15 @@ def write_config(tmp_path, text, name="exp.yaml"):
     return str(path)
 
 
+def test_main_builds_its_parser_once():
+    climod._parser.cache_clear()
+    assert run_cli("cost", "--m-range", "8", "--v-range", "2") == EXIT_OK
+    assert run_cli("cost", "--m-range", "8", "--v-range", "4") == EXIT_OK
+    assert climod._parser.cache_info().misses == 1
+    # a direct call still builds a fresh parser
+    assert climod.build_parser() is not climod.build_parser()
+
+
 FIVE_QUBIT = (
     "strategy: {strategy}\nm: 5\ng: 3\nupper_oracle: [2, -1]\n"
     'lower_oracle: [3, -2, 1]\ncandidates: ["011", "101"]\n'
@@ -93,6 +102,13 @@ class TestRun:
         artifact = json.loads(capsys.readouterr().out)
         assert artifact["config"]["shots"] == 64
         assert sum(e["count"] for e in artifact["histogram"].values()) == 64
+
+    def test_shots_override_samples_every_iterative_trial(self, capsys):
+        run_cli("run", "--config", "fig_a_basic_4", "--shots", "8192", "--format", "json")
+        artifact = json.loads(capsys.readouterr().out)
+        assert artifact["config"]["shots"] == artifact["config"]["shots_per_trial"] == 8192
+        for histogram in [artifact["histogram"]] + [t["histogram"] for t in artifact["trials"]]:
+            assert sum(e["count"] for e in histogram.values()) == 8192
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         out = tmp_path / "artifact.json"
@@ -270,7 +286,7 @@ class TestCost:
                 "--v-range: expected one or more values of at least 1, got '0'",
             ),
             (("--m-range", ","), "--m-range: expected one or more values of at least 1, got ','"),
-            (("--strategies", ","), "cost table needs non-empty m, v, and strategy lists"),
+            (("--strategies", ","), "--strategies: cost table needs a non-empty strategy list"),
         ],
     )
     def test_out_of_range_input_exits_one(self, argv, message, capsys):

@@ -207,9 +207,9 @@ class TestCostTable:
     @pytest.mark.parametrize(
         "ms, vs, strategies, message",
         [
-            ([], [1], ["baseline"], "non-empty"),
-            ([8], [], ["baseline"], "non-empty"),
-            ([8], [1], [], "non-empty"),
+            ([], [1], ["baseline"], "^cost table needs a non-empty m list$"),
+            ([8], [], ["baseline"], "^cost table needs a non-empty v list$"),
+            ([8], [1], [], "^cost table needs a non-empty strategy list$"),
             ([8], [1], ["quantum-annealing"], "unknown strategies"),
             ([0], [1], ["baseline"], "register width"),
             ([8], [0], ["iterative"], "candidate count"),

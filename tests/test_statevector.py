@@ -447,11 +447,16 @@ class TestPurity:
         matrix[svmod._subpattern(index, part), svmod._subpattern(index, rest)] = sv.amplitudes
         singular = np.linalg.svd(matrix, compute_uv=False)
         assert partition_purity(sv, part) == pytest.approx(np.sum(singular**4), abs=1e-12)
+        # the purity cannot see a permutation of the rows; this pins their order
+        assert np.array_equal(svmod._rows(sv, part), matrix)
 
     def test_rows_views_a_cut_of_the_lowest_or_highest_qubits(self):
         sv = random_state(14, 3)
         for cut in (qubit_range(0, 5), qubit_range(9, 14)):
             assert np.shares_memory(svmod._rows(sv, cut), sv.amplitudes)
+        middle = svmod._rows(sv, qubit_range(5, 9))
+        assert not np.shares_memory(middle, sv.amplitudes)
+        assert middle.flags.c_contiguous
 
 
 def _subpattern_by_loop(index, on):
