@@ -1,9 +1,9 @@
 """Experiment configuration: file loading, field validation, bundled presets.
 
-Configs are flat YAML (JSON parses too, being a YAML subset). Bit-strings
-must be quoted in YAML, otherwise they resolve as numbers. Unknown keys and
-keys given twice are rejected so typos fail loudly instead of silently
-using defaults or the last value.
+Configs are flat YAML (JSON parses too, being a YAML subset), parsed by
+libyaml when PyYAML has it. Bit-strings must be quoted in YAML, otherwise
+they resolve as numbers. Unknown keys and keys given twice are rejected so
+typos fail loudly instead of silently using defaults or the last value.
 
 ``ExperimentConfig`` is the one validator. Building one checks every
 field's type and value, builds the search problem, and checks the width of
@@ -16,6 +16,7 @@ source prefix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,8 +247,8 @@ def config_from_mapping(data, source: str = "<memory>") -> ExperimentConfig:
     return config
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, except that a key given twice is a fault, not an override."""
+class _UniqueKeys:
+    """A loader mixin: a key given twice is a fault, not an override."""
 
     def construct_mapping(self, node, deep=False):
         mapping = super().construct_mapping(node, deep=deep)
@@ -258,8 +259,30 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+# libyaml parses when PyYAML has it; either way the Python constructor runs
+class _UniqueKeyLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, except that a key given twice is a fault."""
+
+
+def _parse_fault(exc: yaml.YAMLError, text: str) -> str:
+    """Where a YAML fault is, counted from 1, and what it is, on one line."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+    # a reader fault has no mark, and libyaml counts its position in UTF-8
+    # bytes; the first occurrence of the rejected character is the fault
+    return f"character {text.index(chr(exc.character)) + 1}: {exc.reason}"
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse a UTF-8 YAML or JSON config file."""
+    """Parse a UTF-8 YAML or JSON config file.
+
+    A YAML fault is one line: ``<path>: parse error at line L, column C:
+    <problem>``, or ``at character P: <reason>`` for a character YAML does
+    not allow (such as NUL), with L, C and P counted from 1. The problem's
+    wording is the parser's own, so it differs between libyaml and the
+    pure-Python parser; the position does not.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -268,12 +291,13 @@ def load_config(path) -> ExperimentConfig:
     try:
         data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{path}: parse error: {exc}") from exc
+        raise ConfigurationError(f"{path}: parse error at {_parse_fault(exc, text)}") from exc
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return config_from_mapping(data, source=str(path))
 
 
+@functools.cache
 def bundled_config_dir() -> Path:
     return Path(__file__).resolve().parent / "configs"
 
@@ -285,13 +309,18 @@ def bundled_configs() -> dict[str, Path]:
 
 
 def resolve_config(reference: str) -> Path:
-    """Accept either a bundled preset name or a filesystem path."""
-    bundled = bundled_configs()
-    if reference in bundled:
-        return bundled[reference]
+    """Accept either a bundled preset name or a filesystem path.
+
+    A bundled name wins over a file of the same name; a reference with a
+    path separator is never a bundled name.
+    """
     path = Path(reference)
+    if path.name == reference:
+        bundled = bundled_config_dir() / f"{reference}.yaml"
+        if bundled.is_file():
+            return bundled
     if path.exists():
         return path
     raise ConfigurationError(
-        f"{reference!r} is neither a bundled config {sorted(bundled)} nor a file"
+        f"{reference!r} is neither a bundled config {sorted(bundled_configs())} nor a file"
     )

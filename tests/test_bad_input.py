@@ -1,16 +1,21 @@
 """Bad input: every faulty config, override and sweep flag exits 1 with one
 field-level line, and every faulty cost flag with one line naming the flag,
 before any strategy runs; an ``--out`` that cannot be written exits 1 with
-one line and leaves no temp file."""
+one line and leaves no temp file. A file that is not valid YAML exits 1
+with one line placing the fault, under libyaml and the pure-Python parser
+alike."""
 
 import json
 
 import pytest
+import yaml
 
+import qtreesearch.config as configmod
 import qtreesearch.runner as runmod
 from qtreesearch.cli import main
-from qtreesearch.config import bundled_configs, config_from_mapping
+from qtreesearch.config import bundled_configs, config_from_mapping, load_config
 from qtreesearch.costs import STRATEGIES
+from qtreesearch.errors import ConfigurationError
 from qtreesearch.runner import EXIT_CONFIG_ERROR
 
 PRODUCT = {
@@ -164,6 +169,48 @@ BAD_CONFIGS = {
     ),
 }
 
+# (file bytes, place, libyaml's problem, the pure-Python parser's problem):
+# files that are not valid YAML, placed alike and worded apart by the parsers
+YAML_FAULTS = {
+    "flow-sequence-unclosed": (
+        b"g: [3\n", "line 2, column 1",
+        "did not find expected ',' or ']'", "expected ',' or ']', but got '<stream end>'",
+    ),
+    "block-key-tab-indented": (
+        b"strategy: product\n\tm: 5\n", "line 2, column 1",
+        "found a tab character that violates indentation",
+        "found character '\\t' that cannot start any token",
+    ),
+    "two-documents": (
+        b"strategy: product\n---\nm: 5\n", "line 2, column 1",
+        "but found another document", "but found another document",
+    ),
+    "tag-unsafe": (
+        b"m: !!python/name:os.system\n", "line 1, column 4",
+        "could not determine a constructor for the tag "
+        "'tag:yaml.org,2002:python/name:os.system'",
+        "could not determine a constructor for the tag "
+        "'tag:yaml.org,2002:python/name:os.system'",
+    ),
+    # libyaml counts the two-byte accent's bytes, the place counts characters
+    "nul-byte": (
+        'description: "\u00e9"\x00\n'.encode(), "character 17",
+        "control characters are not allowed", "special characters are not allowed",
+    ),
+}
+# the loader bases PyYAML has, each with the index of its wording in a row above
+LOADER_BASES = {"pure-python": (yaml.SafeLoader, 3)}
+if yaml.__with_libyaml__:
+    LOADER_BASES["libyaml"] = (yaml.CSafeLoader, 2)
+LOADER_BASE = "libyaml" if yaml.__with_libyaml__ else "pure-python"
+
+
+def _parse_error_line(case: str, base: str) -> str:
+    """The message for YAML_FAULTS row ``case`` under loader ``base``, path as {path}."""
+    row = YAML_FAULTS[case]
+    return f"{{path}}: parse error at {row[1]}: {row[LOADER_BASES[base][1]]}"
+
+
 # (file bytes, message with the file's path as {path}): faults found before
 # the file is a mapping
 BAD_FILES = {
@@ -177,6 +224,9 @@ BAD_FILES = {
         "{path}: field 'seed': given twice",
     ),
 }
+BAD_FILES.update(
+    (case, (row[0], _parse_error_line(case, LOADER_BASE))) for case, row in YAML_FAULTS.items()
+)
 
 # configs that ``run`` accepts and ``verify`` rejects, in the same form
 BAD_VERIFY_CONFIGS = {
@@ -287,6 +337,22 @@ def test_bad_file_exits_one_naming_it(case, command, tmp_path, capsys, strategy_
     _exits_one_with(
         (command, "--config", str(path)), message.format(path=path), capsys, strategy_calls
     )
+
+
+@pytest.mark.parametrize("base", sorted(LOADER_BASES))
+@pytest.mark.parametrize("case", sorted(YAML_FAULTS) + ["seed-given-twice"])
+def test_each_loader_base_places_each_file_fault_alike(case, base, tmp_path, monkeypatch):
+    # the pure-Python base is the fallback where PyYAML has no libyaml
+    loader = type("Loader", (configmod._UniqueKeys, LOADER_BASES[base][0]), {})
+    monkeypatch.setattr(configmod, "_UniqueKeyLoader", loader)
+    content, message = BAD_FILES[case]
+    if case in YAML_FAULTS:
+        message = _parse_error_line(case, base)
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(path)
+    assert str(caught.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VERIFY_CONFIGS))

@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qtreesearch.config import (
     ExperimentConfig,
     STRATEGY_CHOICES,
+    _UniqueKeyLoader,
     bundled_configs,
     config_from_mapping,
     load_config,
@@ -206,13 +209,21 @@ def test_load_json_file(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(MINIMAL))
     assert load_config(path).m == 5
+    if yaml.__with_libyaml__:
+        # libyaml parses, and it takes JSON indented with tabs
+        assert issubclass(_UniqueKeyLoader, yaml.CSafeLoader)
+        path.write_text(json.dumps(MINIMAL, indent="\t"))
+        assert load_config(path) == config_from_mapping(MINIMAL)
 
 
 def test_parse_error_reports_path(tmp_path):
     path = tmp_path / "broken.yaml"
-    path.write_text("strategy: [unclosed\n")
-    with pytest.raises(ConfigurationError, match="broken.yaml"):
+    path.write_text("strategy: product\ncandidates: [unclosed\n")
+    with pytest.raises(ConfigurationError) as caught:
         load_config(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: parse error at line 3, column 1: ")
+    assert "\n" not in message
 
 
 def test_missing_file_reported():
@@ -251,6 +262,21 @@ class TestBundled:
         path.write_text("strategy: product\n")
         assert resolve_config(str(path)) == path
 
-    def test_resolve_unknown(self):
+    def test_bundled_name_wins_over_a_file_and_a_separator_makes_a_path(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("fig_a_basic_0").write_text("strategy: product\n")
+        assert resolve_config("fig_a_basic_0") == bundled_configs()["fig_a_basic_0"]
+        assert resolve_config("./fig_a_basic_0") == Path("fig_a_basic_0")
+        # relative to the bundled directory this names a preset, but it is a path
         with pytest.raises(ConfigurationError, match="neither a bundled config"):
+            resolve_config("../configs/fig_a_basic_0")
+
+    def test_resolve_unknown(self):
+        with pytest.raises(ConfigurationError) as caught:
             resolve_config("fig_nonexistent")
+        assert str(caught.value) == (
+            f"'fig_nonexistent' is neither a bundled config {sorted(bundled_configs())} "
+            "nor a file"
+        )
