@@ -10,7 +10,7 @@ input exits 1 with one ``error:`` line, as the ``qtreesearch`` CLI does.
 import argparse
 import sys
 
-from qtreesearch.cli import parse_int_list, render_cost_csv, render_cost_text, write_output
+from qtreesearch.cli import open_output, parse_int_list, render_cost_csv, render_cost_text
 from qtreesearch.costs import STRATEGIES, cost_table, times_ratio, times_ratio_limit
 from qtreesearch.runner import EXIT_CONFIG_ERROR
 
@@ -42,12 +42,17 @@ def main() -> int:
     try:
         ms = parse_int_list(args.m, "--m")
         vs = parse_int_list(args.v, "--v")
-        write_output(tables(ms, vs, args.format), args.out)
+        text = tables(ms, vs, args.format)
+        with open_output(args.out) as write:
+            write(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OverflowError as exc:
         print(f"error: --m/--v: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qtreesearch.cli import render_json, write_output
+from qtreesearch.cli import open_output, render_json
 from qtreesearch.config import bundled_configs, load_config
 from qtreesearch.runner import EXIT_CONFIG_ERROR, run_experiment
 
@@ -29,6 +29,9 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except OSError as exc:
+        print(f"error: cannot write {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 def run_all(out_dir: Path, seed: int | None) -> int:
@@ -39,7 +42,8 @@ def run_all(out_dir: Path, seed: int | None) -> int:
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         artifact, exit_code = run_experiment(config)
-        write_output(render_json(artifact), str(out_dir / f"{name}.json"))
+        with open_output(str(out_dir / f"{name}.json")) as write:
+            render_json(artifact, write)
         worst = max(worst, exit_code)
         summary = artifact.get("result")
         if summary is None:

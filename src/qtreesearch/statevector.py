@@ -32,7 +32,9 @@ shares: ``sample``, ``probability_map``, the histogram and each marginal.
 as a (2**k, rest) matrix whose row p is sub-pattern p (``_rows``: the run
 view with the ``on`` axes moved to the front): the marginal sums each row
 of the probabilities, and the purity is the squared Frobenius norm of the
-amplitude matrix's Gram matrix on its smaller side.
+amplitude matrix's Gram matrix on its smaller side. One pattern's
+probability (``marginal_probability``) is the sum of that pattern's slice
+of the probabilities' run view, with no matrix laid out.
 
 Every kernel also has an O(dim) reference, used by the cross-check
 context, that computes the same output from basis-index bit arithmetic
@@ -457,10 +459,16 @@ def marginal_distribution(sv: Statevector, on: QubitSet) -> np.ndarray:
 
 
 def marginal_probability(sv: Statevector, on: QubitSet, pattern: int) -> float:
-    """Probability that measuring the ``on`` bits yields the given pattern."""
+    """Probability that measuring the ``on`` bits yields the given pattern.
+
+    The sum of the pattern's slice of the run view of the probability
+    vector: a view, so nothing is laid out or copied.
+    """
     if not 0 <= pattern < 2 ** len(on):
         raise ConfigurationError(f"pattern {pattern} outside width {len(on)}")
-    return float(marginal_distribution(sv, on)[pattern])
+    on.validate_for(sv.num_qubits)
+    shape, axes = _run_view(sv.num_qubits, on)
+    return float(np.sum(sv.probabilities.reshape(shape)[_pattern_index(len(shape), axes, pattern)]))
 
 
 # ---------------------------------------------------------------------------

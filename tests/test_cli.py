@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -603,6 +604,17 @@ _WITH_HISTOGRAMS = st.one_of(
 )
 
 
+def _blocks(value, size):
+    """Blocks of at most ``size`` labels over every Histogram in ``value``."""
+    if isinstance(value, Histogram):
+        return -(-value.support.size // size)
+    if isinstance(value, list):
+        return sum(_blocks(item, size) for item in value)
+    if isinstance(value, dict):
+        return sum(_blocks(item, size) for item in value.values())
+    return 0
+
+
 def _dict_form(value):
     """``value`` with every Histogram replaced by its label-keyed dict."""
     if isinstance(value, Histogram):
@@ -630,6 +642,19 @@ class TestRenderJson:
     def test_histograms_match_json_dumps_of_their_dict_form(self, payload):
         expected = json.dumps(_dict_form(payload), indent=2, sort_keys=True) + "\n"
         assert render_json(payload) == expected
+
+    @given(_WITH_HISTOGRAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_pieces_join_to_the_whole_text_at_any_block_size(self, payload):
+        whole = render_json(payload)
+        for block in (1, 2, 3, climod._HISTOGRAM_BLOCK):
+            pieces = []
+            with mock.patch.object(climod, "_HISTOGRAM_BLOCK", block):
+                assert render_json(payload, pieces.append) is None
+            assert "".join(pieces) == whole
+            # one piece per block of labels, each with the text pending
+            # before it, and one for the text after the last block
+            assert len(pieces) == 1 + _blocks(payload, block)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_names_its_key_path(self, bad):
@@ -660,6 +685,51 @@ class TestRenderJson:
         captured = capsys.readouterr()
         assert "at purity[0] as JSON" in captured.err
         assert captured.out == ""
+
+    @pytest.fixture
+    def later_nan(self, monkeypatch):
+        """A run whose first histogram is fine and whose trial's holds a NaN,
+        rendered a label at a time; yields the pieces that reached the file."""
+        good = Histogram(3, [0, 2, 5, 7], [1, 0, 3, 0], [0.25, 0.25, 0.5, 0.0])
+        bad = Histogram(3, [1, 6], [2, 2], [0.5, float("nan")])
+        artifact = {"histogram": good, "trials": [{"histogram": bad}]}
+        monkeypatch.setattr(climod, "run_experiment", lambda config: (artifact, EXIT_OK))
+        monkeypatch.setattr(climod, "_HISTOGRAM_BLOCK", 1)
+        written = []
+
+        def recording(text, stream):
+            written.append(text)
+            stream.write(text)
+
+        monkeypatch.setattr(climod, "write_output", recording)
+        return written
+
+    def test_later_nan_with_out_exits_one_keeping_the_old_file(
+        self, later_nan, tmp_path, capsys
+    ):
+        out = tmp_path / "artifact.json"
+        out.write_bytes(b"old bytes")
+        code = run_cli("run", "--config", "fig_a_basic_0", "--format", "json", "--out", str(out))
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot write nan at trials[0].histogram.110.probability as JSON: "
+            "not a finite number\n"
+        )
+        assert captured.out == ""
+        # the first histogram was streamed before the NaN was met
+        assert len(later_nan) == 4
+        assert out.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_later_nan_without_out_prints_nothing(self, later_nan, capsys):
+        code = run_cli("run", "--config", "fig_a_basic_0", "--format", "json")
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "at trials[0].histogram.110.probability as JSON" in captured.err
+        assert captured.out == ""
+        assert later_nan == []
 
     @pytest.mark.parametrize(
         "payload",

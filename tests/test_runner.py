@@ -127,13 +127,14 @@ def test_iterative_run_simulates_each_trial_once(monkeypatch):
 
 
 def test_disentangled_run_reads_each_block_and_flag_once(monkeypatch):
-    # one marginal per block and one per flag, shared by the winner test and
-    # the artifact's blocks section
-    calls = _count_calls(monkeypatch, "marginal_distribution", [svmod, stratmod])
+    # one marginal per block and one pattern probability per flag, shared by
+    # the winner test and the artifact's blocks section
+    blocks = _count_calls(monkeypatch, "marginal_distribution", [svmod, stratmod])
+    flags = _count_calls(monkeypatch, "marginal_probability", [svmod, stratmod])
     config = load_config(resolve_config("fig_a_basic_10"))
     artifact, _ = run_experiment(config)
     assert len(artifact["blocks"]) == config.v
-    assert len(calls) == 2 * config.v
+    assert len(blocks) == len(flags) == config.v
 
 
 def test_permutation_run_builds_the_relabeling_once(monkeypatch):

@@ -67,6 +67,18 @@ def test_bad_input_exits_one_with_one_error_line(argv, message, tmp_path):
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize("argv", [("cost_tables.py", "--out"), ("run_figures.py", "--out-dir")])
+def test_unwritable_output_exits_one_with_one_error_line(argv, tmp_path):
+    # the target's parent is a file, so neither the temp file nor the
+    # directory can be made there
+    (tmp_path / "taken").write_text("")
+    target = tmp_path / "taken" / "out"
+    done = run_script(*argv, str(target))
+    assert done.returncode == 1
+    assert done.stderr == f"error: cannot write {target}: Not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
 def test_scripts_import_no_private_name(script):
     tree = ast.parse((ROOT / "scripts" / script).read_text())

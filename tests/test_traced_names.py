@@ -4,10 +4,12 @@ bench/tracing.py names the functions it wraps as ``module.function`` and
 reads a few of their positional arguments. A renamed function or a moved
 argument would fail ``bench/run.py --trace 1`` and nothing else, so these
 tests read the tracer's own lists and resolve each entry, and run every
-bundled config under the installed tracer. The tracer also counts a loop's
-kernel calls only while the loop calls the kernels through its module's
-names, which the last tests check by rebinding those names in ``grover``,
-the module of the one round loop.
+bundled config under the installed tracer. A streamed artifact must reach
+its file through ``write_output`` one ``str`` piece at a time, inside the
+``render_json`` span, for the tracer to count its bytes. The tracer also
+counts a loop's kernel calls only while the loop calls the kernels through
+its module's names, which the last tests check by rebinding those names in
+``grover``, the module of the one round loop.
 """
 
 import importlib
@@ -18,10 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtreesearch import grover, runner, strategies
+from qtreesearch import cli, grover, runner, strategies
 from qtreesearch.cli import render_json
 from qtreesearch.config import bundled_configs, load_config
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
+from qtreesearch.runner import EXIT_OK
 from qtreesearch.statevector import Register, init_uniform, qubit_range
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -82,6 +85,26 @@ def test_a_traced_run_of_each_bundled_config_matches_the_untraced_one(name):
     names = {span[0] for span in tracer.spans}
     prepares = config.strategy != "iterative" and config.prep == "grover"
     assert ("strategies.prepare_candidates" in names) == prepares
+
+
+def test_a_traced_streamed_artifact_is_counted_whole_inside_its_render(
+    monkeypatch, tmp_path
+):
+    # fig_a_basic_4 is iterative: a histogram per trial and the top-level
+    # one, each rendered three labels a piece, every piece through write_output
+    argv = ["run", "--config", "fig_a_basic_4", "--format", "json", "--out"]
+    assert cli.main([*argv, str(tmp_path / "untraced.json")]) == EXIT_OK
+    monkeypatch.setattr(cli, "_HISTOGRAM_BLOCK", 3)
+    out = tmp_path / "traced.json"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main([*argv, str(out)]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "untraced.json").read_bytes()
+    assert tracer.counts["cli.artifact_bytes"] == out.stat().st_size
+    [render] = [i for i, span in enumerate(tracer.spans) if span[0] == "cli.render_json"]
+    writes = [span for span in tracer.spans if span[0] == "cli.write_output"]
+    assert len(writes) > 4
+    assert all(span[1] == render for span in writes)
 
 
 KERNEL_NAMES = ("apply_conditional_bit_flip", "apply_phase_flip", "apply_diffusion")
