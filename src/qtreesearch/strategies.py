@@ -11,6 +11,9 @@ that problem description:
   per candidate and classical verification;
 - disentangled_search gives every candidate its own upper block bound to
   that candidate, keeping the blocks and the candidate register product.
+  Its rounds run on the candidates and blocks plus one flag that each
+  block borrows in turn; the flags-per-block composite is assembled once,
+  for the read-outs.
 
 Every pipeline runs ``grover.Stage`` records, built by the constructors
 below, through ``grover.amplify``, which counts their rounds in the
@@ -41,9 +44,7 @@ from .statevector import (
     Statevector,
     init_uniform,
     marginal_distribution,
-    marginal_probability,
     qubit_range,
-    qubits,
     sample,
 )
 
@@ -265,6 +266,11 @@ class CompositeLayout:
     def total_qubits(self) -> int:
         return self.g + self.v * (self.block_width + 1)
 
+    @property
+    def working_qubits(self) -> int:
+        """The candidate register and the blocks, without the flags."""
+        return self.g + self.v * self.block_width
+
     def flag(self, k: int) -> int:
         self._check(k)
         return self.g + (k - 1) * (self.block_width + 1)
@@ -272,6 +278,12 @@ class CompositeLayout:
     def block(self, k: int) -> QubitSet:
         self._check(k)
         start = self.flag(k) + 1
+        return qubit_range(start, start + self.block_width)
+
+    def working_block(self, k: int) -> QubitSet:
+        """Block k's qubits in the working register, where the flags are left out."""
+        self._check(k)
+        start = self.g + (k - 1) * self.block_width
         return qubit_range(start, start + self.block_width)
 
     def _check(self, k: int) -> None:
@@ -284,7 +296,7 @@ class DisentangledOutcome(NamedTuple):
 
     ``distributions[k - 1]`` is block k's exact marginal, indexed by
     pattern, and ``flag_excitations[k - 1]`` the probability that flag k
-    stayed at 1.
+    stayed at 1 after block k's rounds.
     """
 
     winning_index: int | None
@@ -308,40 +320,44 @@ def disentangled_layout(problem: SearchProblem) -> CompositeLayout:
     return layout
 
 
-def _flags_cleared_uniform(layout: CompositeLayout) -> Register:
-    """A register uniform over candidate register and blocks, flags at 0."""
-    total = layout.total_qubits
-    amps = np.zeros(2**total, dtype=np.complex128)
-    # one (block, flag) axis pair per block, highest block first, then the
-    # candidate register
-    view = amps.reshape((2**layout.block_width, 2) * layout.v + (2**layout.g,))
-    view[(slice(None), 0) * layout.v] = 1.0 / math.sqrt(2 ** (total - layout.v))
-    return Register(total, amps)
-
-
 def block_distribution(problem: SearchProblem, state: Statevector, k: int) -> np.ndarray:
     """Exact marginal distribution of block k's qubits, indexed by pattern."""
     return marginal_distribution(state, disentangled_layout(problem).block(k))
 
 
-def flag_excitation(problem: SearchProblem, state: Statevector, k: int) -> float:
-    """Probability that flag k failed to uncompute back to 0."""
-    layout = disentangled_layout(problem)
-    return marginal_probability(state, qubits(layout.flag(k)), 1)
-
-
 def block_stages(problem: SearchProblem, layout: CompositeLayout) -> tuple[Stage, ...]:
-    """Block k's upper search, kicked through flag k, for every k.
+    """Block k's upper search in the working register, kicked through its top qubit.
 
     Its oracle is the global oracle with the lower input fixed to
     candidate k, so the candidate register never enters a block round.
     """
     # row z, column y: whether the global oracle marks (z << g) | y
     global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
+    flag = layout.working_qubits
     return tuple(
-        Stage.standard(global_mask[:, y], layout.block(k), layout.block(k), flag=layout.flag(k))
+        Stage.standard(
+            global_mask[:, y], layout.working_block(k), layout.working_block(k), flag=flag
+        )
         for k, y in enumerate(problem.candidates.candidates, start=1)
     )
+
+
+def _assembled(layout: CompositeLayout, amps: np.ndarray, work: Register) -> Statevector:
+    """The composite state on ``amps``, whose leading entries ``work`` views.
+
+    The working register's flag-0 half moves into the composite's
+    flags-cleared slots, and the register is spent. The half's copy is
+    freed on return, before the read-outs allocate theirs.
+    """
+    cleared = work.amplitudes[: 2**layout.working_qubits].copy()
+    work.amplitudes[:] = 0.0
+    work.amplitudes = None
+    # one (block, flag) axis pair per block, highest block first, then the
+    # candidate register
+    w, v = layout.block_width, layout.v
+    view = amps.reshape((2**w, 2) * v + (2**layout.g,))
+    view[(slice(None), 0) * v] = cleared.reshape((2**w,) * v + (2**layout.g,))
+    return Register(layout.total_qubits, amps).freeze()
 
 
 def disentangled_search(problem: SearchProblem, counter: QueryCounter) -> DisentangledOutcome:
@@ -352,31 +368,50 @@ def disentangled_search(problem: SearchProblem, counter: QueryCounter) -> Disent
     input bound to candidate k, phase-kicked through a flag ancilla that is
     computed, sign-flipped, and uncomputed every round. Nothing couples the
     blocks to the candidate register, so the state stays product across
-    every block boundary and the flags return to 0 exactly. The candidate
-    rounds and every block round run on the one register the search opens,
-    norm-checked once per round after the diffusion and frozen once into
-    the returned state.
+    every block boundary, and flag k is back at 0 exactly when block k's
+    rounds end.
 
-    Each block's marginal and flag excitation is read once and returned
-    with the state. The winner is the unique block whose marginal puts
-    more than DECISION_THRESHOLD on the upper target; None when no such
-    block exists (the upper target is absent or ambiguous).
+    So the rounds run on a working register of n + 1 qubits, n = g +
+    v(m - g): the candidate register and the blocks in order, and on top
+    one flag that each block borrows in turn. It views the leading entries
+    of the composite's buffer and is norm-checked once per round, after
+    the diffusion. After each block the flag must hold no probability at
+    all, or ValidationError names it; that mass is the block's flag
+    excitation. After the last block the flag-0 half moves into the
+    composite's flags-cleared slots, which are frozen once into the
+    returned state.
+
+    Each block's marginal is read once from that state and returned with
+    it. The winner is the unique block whose marginal puts more than
+    DECISION_THRESHOLD on the upper target; None when no such block exists
+    (the upper target is absent or ambiguous).
     """
     layout = disentangled_layout(problem)
-    sv = prepare_candidates(problem, _flags_cleared_uniform(layout), counter)
-    state = amplify(sv, block_stages(problem, layout), counter).freeze()
+    n = layout.working_qubits
+    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
+    # the candidates stay lowest and the flag goes on top, so every
+    # diffusion sums the same values in the same order as it would on the
+    # composite, and the assembled state is the composite's bit for bit
+    work = amps[: 2 ** (n + 1)]
+    work[: 2**n] = 1.0 / math.sqrt(2**n)
+    sv = prepare_candidates(problem, Register(n + 1, work), counter)
+
+    excitations = []
+    for k, stage in enumerate(block_stages(problem, layout), start=1):
+        amplify(sv, (stage,), counter)
+        excited = sv.amplitudes[2**n :]
+        leak = float(np.vdot(excited, excited).real)
+        if leak != 0.0:
+            raise ValidationError(f"flag {k} retains probability {leak} after uncompute")
+        excitations.append(leak)
+    state = _assembled(layout, amps, sv)
 
     blocks = range(1, problem.v + 1)
-    excitations = tuple(flag_excitation(problem, state, k) for k in blocks)
-    for k, leak in zip(blocks, excitations):
-        if leak > 1e-9:
-            raise ValidationError(f"flag {k} retains probability {leak} after uncompute")
-
     distributions = tuple(block_distribution(problem, state, k) for k in blocks)
     target = problem.upper_target
     above = [k for k in blocks if distributions[k - 1][target] > DECISION_THRESHOLD]
     winning = above[0] if len(above) == 1 else None
-    return DisentangledOutcome(winning, state, distributions, excitations)
+    return DisentangledOutcome(winning, state, distributions, tuple(excitations))
 
 
 def recover_candidate(

@@ -38,7 +38,6 @@ from qtreesearch.strategies import (
     block_distribution,
     disentangled_search,
     entangled_nested,
-    flag_excitation,
     measure_and_verify,
     product_subspace_search,
 )
@@ -209,9 +208,7 @@ def test_criterion_06_disentangled_blocks():
     other_probs = [
         float(distributions[k][target]) for k in distributions if k != match
     ]
-    flag_clean = [
-        flag_excitation(problem, outcome.state, k) for k in range(1, problem.v + 1)
-    ]
+    flag_clean = outcome.flag_excitations
     ok = (
         outcome.winning_index == match
         and matching_prob >= 0.9

@@ -127,14 +127,23 @@ def test_iterative_run_simulates_each_trial_once(monkeypatch):
 
 
 def test_disentangled_run_reads_each_block_and_flag_once(monkeypatch):
-    # one marginal per block and one pattern probability per flag, shared by
-    # the winner test and the artifact's blocks section
+    # one marginal per block, shared by the winner test and the artifact's
+    # blocks section; each flag's excitation is the one the search measured
+    # after that block's rounds, not read again from the composite
     blocks = _count_calls(monkeypatch, "marginal_distribution", [svmod, stratmod])
-    flags = _count_calls(monkeypatch, "marginal_probability", [svmod, stratmod])
+    outcomes = []
+    real = stratmod.disentangled_search
+
+    def recording(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(runmod, "disentangled_search", recording)
     config = load_config(resolve_config("fig_a_basic_10"))
     artifact, _ = run_experiment(config)
-    assert len(artifact["blocks"]) == config.v
-    assert len(blocks) == len(flags) == config.v
+    [outcome] = outcomes
+    assert len(artifact["blocks"]) == len(blocks) == config.v
+    assert [b["flag_excitation"] for b in artifact["blocks"]] == list(outcome.flag_excitations)
 
 
 def test_permutation_run_builds_the_relabeling_once(monkeypatch):

@@ -2,6 +2,7 @@
 fail on bad input the way the CLI does."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qtreesearch.cli import main
+from qtreesearch.config import bundled_config_dir
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,6 +47,23 @@ def test_cost_tables_text_matches_golden():
     done = run_script("cost_tables.py")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / "cli" / "cost_tables.txt").read_text()
+
+
+def test_artifact_digests_prints_each_job_once_and_the_same_twice(tmp_path, monkeypatch):
+    done = run_script("artifact_digests.py", "cli-small", "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    assert run_script("artifact_digests.py", "cli-small", "--seeds", "1").stdout == done.stdout
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # @dataclass resolves its class's module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.build_jobs("cli-small", 1, tmp_path, bundled_config_dir()).jobs
+    rows = [line.split(" ") for line in done.stdout.splitlines()]
+    assert [row[:3] for row in rows] == [["cli-small", "1", job.label] for job in jobs]
+    for _, _, _, exit_code, digest in rows:
+        assert exit_code.isdigit()
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
 @pytest.mark.parametrize(

@@ -6,16 +6,21 @@ a 2-round single-mark search over 8 states puts 121/128 on the mark, and a
 1-round search with a quarter marked is exact.
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 
 from qtreesearch import grover, strategies
 from qtreesearch.errors import ConfigurationError, PreconditionError, ValidationError
-from qtreesearch.grover import QueryCounter
+from qtreesearch.grover import QueryCounter, Stage, amplify
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
 from qtreesearch.statevector import (
+    Register,
     basis_state,
     init_uniform,
+    marginal_distribution,
     partition_purity,
     probability_map,
     qubits,
@@ -29,7 +34,6 @@ from qtreesearch.strategies import (
     disentangled_layout,
     disentangled_search,
     entangled_nested,
-    flag_excitation,
     iterative_search,
     iterative_trial_state,
     measure_and_verify,
@@ -274,7 +278,69 @@ class TestIterativeSearch:
             assert counter.oracle_calls <= 2 * (2 + 1 + 1)
 
 
+def flag_per_block_reference(problem, counter):
+    """The composite run with one flag per block, every round on all qubits.
+
+    Uniform over the candidate register and the blocks with every flag at
+    0, then the candidate rounds, then block k's rounds kicked through flag
+    k of the composite layout.
+    """
+    layout = disentangled_layout(problem)
+    total = layout.total_qubits
+    flags = sum(1 << layout.flag(k) for k in range(1, problem.v + 1))
+    amps = np.zeros(2**total, dtype=np.complex128)
+    amps[(np.arange(2**total) & flags) == 0] = 1.0 / math.sqrt(2 ** (total - problem.v))
+    sv = prepare_candidates(problem, Register(total, amps), counter)
+    global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
+    stages = [
+        Stage.standard(global_mask[:, y], layout.block(k), layout.block(k), flag=layout.flag(k))
+        for k, y in enumerate(problem.candidates.candidates, start=1)
+    ]
+    return amplify(sv, stages, counter).freeze()
+
+
+def shuffled_problem(m, g, v, null, seed):
+    """Random targets; v candidates in random order, the lower target among
+    them unless ``null``."""
+    rng = random.Random(seed)
+    lower = rng.randrange(2**g)
+    decoys = rng.sample([y for y in range(2**g) if y != lower], v if null else v - 1)
+    candidates = decoys if null else decoys + [lower]
+    rng.shuffle(candidates)
+    return SearchProblem(
+        global_oracle=ConcatenatedOracle(
+            ConjunctionOracle.marking(rng.randrange(2 ** (m - g)), m - g),
+            ConjunctionOracle.marking(lower, g),
+        ),
+        candidates=PartialCandidateSet(g, tuple(candidates)),
+    )
+
+
+# (m, g, v, null): composites of 8 to 16 qubits; a null case needs v
+# patterns besides the lower target
+BORROWED_FLAG_CASES = [
+    (m, g, v, null)
+    for m, g, v in [
+        (4, 1, 2), (4, 2, 2), (4, 3, 4), (5, 2, 3), (5, 3, 3), (6, 3, 3), (6, 4, 4),
+        (7, 4, 2), (7, 5, 3), (8, 4, 2), (8, 6, 3), (8, 7, 4),
+    ]
+    for null in (False, True)
+    if v < 2**g or not null
+]
+
+
 class TestDisentangledSearch:
+    @pytest.mark.parametrize("m, g, v, null", BORROWED_FLAG_CASES)
+    def test_borrowed_flag_gives_the_flag_per_block_composite(self, m, g, v, null):
+        problem = shuffled_problem(m, g, v, null, seed=f"{m}:{g}:{v}:{null}")
+        assert disentangled_layout(problem).total_qubits <= 16
+        expected_counter, counter = QueryCounter(), QueryCounter()
+        expected = flag_per_block_reference(problem, expected_counter)
+        outcome = disentangled_search(problem, counter)
+        assert np.array_equal(outcome.state.amplitudes, expected.amplitudes)
+        assert counter == expected_counter
+        assert outcome.flag_excitations == (0.0,) * v
+
     def test_layout_positions(self):
         layout = disentangled_layout(six_qubit_problem())
         assert layout.total_qubits == 11
@@ -282,6 +348,10 @@ class TestDisentangledSearch:
         assert layout.block(1).indices == (4, 5, 6)
         assert layout.flag(2) == 7
         assert layout.block(2).indices == (8, 9, 10)
+        # the rounds' register drops the flags and borrows one on top
+        assert layout.working_qubits == 9
+        assert layout.working_block(1).indices == (3, 4, 5)
+        assert layout.working_block(2).indices == (6, 7, 8)
 
     def test_matching_block_wins(self):
         problem = six_qubit_problem()
@@ -297,9 +367,9 @@ class TestDisentangledSearch:
         assert counter.oracle_calls == 5
 
     def test_block_rounds_continue_on_the_prepared_register(self, monkeypatch):
-        # the candidate rounds and the block rounds share one register: the
-        # returned state holds the prepared register's own array, and the
-        # register is spent once it is frozen
+        # the candidate rounds and the block rounds share one register, a
+        # view of the composite's buffer: the returned state holds that
+        # buffer, and the register is spent once the composite is assembled
         prepared = []
         real = strategies.prepare_candidates
 
@@ -311,7 +381,8 @@ class TestDisentangledSearch:
         monkeypatch.setattr(strategies, "prepare_candidates", recording)
         state = disentangled_search(six_qubit_problem(), QueryCounter()).state
         [(register, array)] = prepared
-        assert state.amplitudes.base is array
+        assert register.num_qubits == 3 + 2 * 3 + 1
+        assert state.amplitudes.base is array.base
         assert register.amplitudes is None
 
     @pytest.mark.parametrize("block, round_", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -353,9 +424,61 @@ class TestDisentangledSearch:
 
     def test_flags_uncompute_exactly(self):
         problem = six_qubit_problem()
-        state = disentangled_search(problem, QueryCounter()).state
-        assert flag_excitation(problem, state, 1) == pytest.approx(0.0, abs=1e-12)
-        assert flag_excitation(problem, state, 2) == pytest.approx(0.0, abs=1e-12)
+        outcome = disentangled_search(problem, QueryCounter())
+        assert outcome.flag_excitations == (0.0, 0.0)
+        layout = disentangled_layout(problem)
+        for k in (1, 2):
+            assert marginal_distribution(outcome.state, qubits(layout.flag(k)))[1] == 0.0
+
+    def test_a_flag_left_excited_raises_before_the_next_block(self, monkeypatch):
+        # round 1 of block 1 skips its uncompute, so the flag keeps the
+        # kicked amplitude; norms stay 1, and the leak check after block 1
+        # raises before any kernel of block 2 runs
+        calls = {"flip": 0, "phase": 0, "diffusion": 0}
+        real_flip, real_phase, real_diffusion = (
+            grover.apply_conditional_bit_flip,
+            grover.apply_phase_flip,
+            grover.apply_diffusion,
+        )
+
+        def flip(sv, *args):
+            calls["flip"] += 1
+            return sv if calls["flip"] == 2 else real_flip(sv, *args)
+
+        def phase(*args):
+            calls["phase"] += 1
+            return real_phase(*args)
+
+        def diffusion(*args):
+            calls["diffusion"] += 1
+            return real_diffusion(*args)
+
+        monkeypatch.setattr(grover, "apply_conditional_bit_flip", flip)
+        monkeypatch.setattr(grover, "apply_phase_flip", phase)
+        monkeypatch.setattr(grover, "apply_diffusion", diffusion)
+        with pytest.raises(ValidationError, match="flag 1 retains probability"):
+            disentangled_search(six_qubit_problem(), QueryCounter())
+        # one candidate round, then block 1's two rounds
+        assert calls == {"flip": 4, "phase": 3, "diffusion": 3}
+
+    def test_any_probability_left_on_the_flag_raises(self, monkeypatch):
+        # 1e-13 of amplitude, 1e-26 of probability, on the flag after block 1:
+        # far below the norm tolerance, and below the 1e-9 a flag was once
+        # allowed to keep, but the next block's kick would read it
+        real = strategies.amplify
+        blocks = []
+
+        def leaky(sv, stages, counter):
+            out = real(sv, stages, counter)
+            if stages[0].flag is not None:
+                blocks.append(stages)
+                out.amplitudes[-1] = 1e-13
+            return out
+
+        monkeypatch.setattr(strategies, "amplify", leaky)
+        with pytest.raises(ValidationError, match="flag 1 retains probability .*e-26"):
+            disentangled_search(six_qubit_problem(), QueryCounter())
+        assert len(blocks) == 1
 
     def test_candidate_register_stays_product(self):
         problem = six_qubit_problem()

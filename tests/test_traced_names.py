@@ -135,7 +135,8 @@ def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
 
 def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
     calls = _count_calls(monkeypatch)
-    # m = 6, g = 3, v = 2: a composite of 3 + 2 * (3 + 1) = 11 qubits, one
+    # m = 6, g = 3, v = 2: the rounds run on 3 + 2 * 3 + 1 = 10 qubits,
+    # the candidate register, both blocks and one borrowed flag; one
     # preparation round, and r(8, 1) = 2 rounds in each block
     problem = strategies.SearchProblem(
         global_oracle=ConcatenatedOracle(
@@ -146,12 +147,12 @@ def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
     )
     # the search opens one register and hands it to every kernel it calls
     strategies.disentangled_search(problem, grover.QueryCounter())
-    prep = [("apply_phase_flip", 11), ("apply_diffusion", 11)]
+    prep = [("apply_phase_flip", 10), ("apply_diffusion", 10)]
     # per block round: compute the flag, flip its phase, uncompute, diffuse
     block_round = [
-        ("apply_conditional_bit_flip", 11),
-        ("apply_phase_flip", 11),
-        ("apply_conditional_bit_flip", 11),
-        ("apply_diffusion", 11),
+        ("apply_conditional_bit_flip", 10),
+        ("apply_phase_flip", 10),
+        ("apply_conditional_bit_flip", 10),
+        ("apply_diffusion", 10),
     ]
     assert calls == prep + block_round * 4
