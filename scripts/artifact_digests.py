@@ -5,9 +5,13 @@
 
 Builds each workload's job list with ``bench/workloads.py`` in a temp
 directory, runs every job once through ``qtreesearch.cli.main`` and prints
-``<workload> <seed> <label> <exit> <sha256>``. Two checkouts agree byte
-for byte on these jobs when their outputs are equal: run the script with
-each checkout's ``src`` first on ``PYTHONPATH`` and compare. As in the
+``<workload> <seed> <label> <exit> <sha256>``. Then it runs each bundled
+config under ``run`` and ``verify``, in json and in csv, and prints
+``stdout <command> <format> <config> <exit> <sha256>`` of what the command
+writes to stdout; text is left out, since it ends with the wall time. Two
+checkouts agree byte for byte on these outputs when their lines are equal:
+run the script with each checkout's ``src`` first on ``PYTHONPATH`` and
+compare. As in the
 benchmark, OpenBLAS, OpenMP and MKL are pinned to one thread before numpy
 loads, since the last bits of a wide purity follow the thread count.
 """
@@ -27,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 from qtreesearch.cli import main as cli_main
-from qtreesearch.config import bundled_config_dir
+from qtreesearch.config import bundled_config_dir, bundled_configs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,6 +56,19 @@ def digests(workloads, workload: str, seed: int):
             yield job.label, exit_code, digest
 
 
+def stdout_digests():
+    """Yield (command, format, config, exit code, sha256 of its stdout) for
+    every bundled config under ``run`` and ``verify``, in json and csv."""
+    for command in ("run", "verify"):
+        for output_format in ("json", "csv"):
+            for name in sorted(bundled_configs()):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    exit_code = cli_main([command, "--config", name, "--format", output_format])
+                digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+                yield command, output_format, name, exit_code, digest
+
+
 def main() -> int:
     workloads = _workloads()
     # raw, so the usage line in the docstring keeps its own line
@@ -65,6 +82,8 @@ def main() -> int:
         for seed in args.seeds:
             for label, exit_code, digest in digests(workloads, workload, seed):
                 print(f"{workload} {seed} {label} {exit_code} {digest}", flush=True)
+    for command, output_format, name, exit_code, digest in stdout_digests():
+        print(f"stdout {command} {output_format} {name} {exit_code} {digest}", flush=True)
     return 0
 
 

@@ -493,16 +493,23 @@ def parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _overridden(config: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """The config with the given fields replaced; a value of None, or one the
+    field already holds, is left out, so an override that changes nothing
+    validates nothing again."""
+    changed = {
+        name: value
+        for name, value in overrides.items()
+        if value is not None and value != getattr(config, name)
+    }
+    return dataclasses.replace(config, **changed) if changed else config
+
+
 def _config_with_overrides(args) -> ExperimentConfig:
     config = load_config(resolve_config(args.config))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = overrides["shots_per_trial"] = args.shots
-    if args.format is not None:
-        overrides["format"] = args.format
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return _overridden(
+        config, seed=args.seed, shots=args.shots, shots_per_trial=args.shots, format=args.format
+    )
 
 
 def _cmd_run(args) -> tuple[dict, int, str]:
@@ -529,9 +536,7 @@ def _cmd_cost(args) -> tuple[dict, int, str]:
 
 def _cmd_verify(args) -> tuple[dict, int, str]:
     path = resolve_config(args.config)
-    config = load_config(path)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _overridden(load_config(path), seed=args.seed)
     return (*run_verification(config, str(path)), args.format)
 
 

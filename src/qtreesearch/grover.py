@@ -7,6 +7,15 @@ states the round rule. Each round spends one oracle call and one diffusion
 call, tallied by the caller's QueryCounter; classical verification steps
 elsewhere tick the same oracle_calls counter: a query is a query however
 it is addressed.
+
+A stage with a flag borrows the register's top qubit, which must enter
+every round at |0> and leave it there. The kick (compute the flag, flip
+its phase, uncompute) runs on the whole register; the diffusion and the
+round's norm check then run on the flag-clear half, the leading half of
+the amplitudes, viewed as a register one qubit narrower. Only that half
+holds amplitude once the flag is uncomputed, so a diffusion of the half
+sums the same floats in the same order as one of the whole register, and
+a flag left excited shows as a norm deficit of the half in that round.
 """
 
 from __future__ import annotations
@@ -73,8 +82,9 @@ class Stage(NamedTuple):
 
     A mask that also reads qubits outside ``diffuse_on`` lets their
     amplitudes steer which patterns of the diffused qubits grow. With a
-    ``flag`` qubit the oracle is a phase kick: the mask marks the flag,
-    the flag's phase flips, and the mask unmarks it.
+    ``flag`` qubit, the register's top one, the oracle is a phase kick:
+    the mask marks the flag, the flag's phase flips, and the mask unmarks
+    it.
     """
 
     marked: np.ndarray
@@ -101,21 +111,31 @@ def amplify(sv: Register, stages: Sequence[Stage], counter: QueryCounter) -> Reg
     """Run every round of every stage, in order.
 
     The rounds update the given register in place, and its norm is
-    checked once per round, after the diffusion. The same register is
-    returned, unfrozen, for the caller's next stage.
+    checked once per round, after the diffusion: the whole register's,
+    or a flagged stage's flag-clear half. The same register is returned,
+    unfrozen, for the caller's next stage. A flag other than the
+    register's top qubit is a ConfigurationError.
     """
     for stage in stages:
         if stage.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {stage.rounds}")
+        diffused = sv
+        if stage.flag is not None:
+            if stage.flag != sv.num_qubits - 1:
+                raise ConfigurationError(
+                    f"flag {stage.flag} is not the top qubit of a {sv.num_qubits}-qubit register"
+                )
+            diffused = Register(stage.flag, sv.amplitudes[: 2**stage.flag], sv.norm)
+            kicked = qubits(stage.flag)
         for _ in range(stage.rounds):
             if stage.flag is None:
                 apply_phase_flip(sv, stage.marked, stage.flip_on)
             else:
                 apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
-                apply_phase_flip(sv, _FLAG_SET, qubits(stage.flag))
+                apply_phase_flip(sv, _FLAG_SET, kicked)
                 apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
-            apply_diffusion(sv, stage.diffuse_on)
-            sv.check_norm()
+            apply_diffusion(diffused, stage.diffuse_on)
+            diffused.check_norm()
             counter.count_oracle()
             counter.count_diffusion()
     return sv

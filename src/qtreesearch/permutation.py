@@ -26,7 +26,6 @@ from .statevector import (
     Statevector,
     apply_conditional_bit_flip,
     apply_index_map,
-    init_uniform,
     qubits,
 )
 from .strategies import SearchProblem, prepare_candidates
@@ -153,7 +152,9 @@ def compacted_search_state(
     direct basis encoding), relabel the lower half, amplify with the
     global oracle conjugated by the relabeling (a phase flip on the whole
     register, diffusion over the compacted search set), and undo the
-    relabeling. Every step runs on one register, frozen once at the end.
+    relabeling. Every step after the preparation runs on one register,
+    frozen once at the end; an amplified preparation tiles that register
+    from one g-qubit fiber.
     The relabeling is returned with the state.
 
     The conjugated oracle marks the solution only when its lower string is
@@ -173,7 +174,7 @@ def compacted_search_state(
     search = QubitSet(tuple(code_positions) + tuple(range(g, m)))
 
     if prep == "grover":
-        sv = prepare_candidates(problem, init_uniform(m), counter)
+        sv = prepare_candidates(problem, m, counter)
     elif prep == "basis":
         sv = _basis_prepared(problem)
     else:

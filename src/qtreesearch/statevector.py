@@ -14,7 +14,8 @@ report needs it.
 
 The kernels and the sub-pattern read-outs share one run view: a reshape
 of the amplitudes, without a copy, with one axis per run of consecutive
-qubits in ``on`` or not. A sub-pattern indexes the ``on`` axes, one bit
+qubits in ``on`` or not, its shape worked out once per width and qubit
+set. A sub-pattern indexes the ``on`` axes, one bit
 field per run, so a phase flip negates only the sub-patterns it marks,
 and a diffusion takes its mean over the ``on`` axes and overwrites the
 register with its result. An index map and a bit flip move sub-patterns
@@ -24,6 +25,18 @@ A register is norm-checked once per round, by the loop, after the round's
 diffusion, and again when it is frozen. Flips, swaps and index maps only
 negate or move amplitudes, so that one check still sees a fault from any
 kernel of the round.
+
+A register keeps a norm: 1 for a state, less for a fiber. A stage that
+starts uniform and acts only on the lowest k of m qubits runs on one
+fiber (``uniform_fiber``): a k-qubit register whose entries are the
+1/sqrt(2**m) that ``init_uniform(m)`` writes, so its kept norm is
+sqrt(2**k / 2**m). The lower qubits are the innermost axis of the full
+register too, so every upper fiber of the full run would see the same
+floats in the same order; ``Register.tile`` writes the fiber into each of
+them at once, and the m-qubit register it returns holds the full run's
+state bit for bit. A fiber is norm-checked against its kept norm, and
+only a unit-norm register freezes, so a fiber never becomes a read-out
+state.
 
 A Statevector squares its amplitudes once, on first use, into a read-only
 probability vector (``probabilities``) that every read-out of the state
@@ -41,6 +54,12 @@ context, that computes the same output from basis-index bit arithmetic
 instead: a sign per index, a destination per index, or a sum per diffusion
 block, moving each run of consecutive qubits as one bit field. The two
 routes share no index code, so a fault in either shows as a deviation.
+A reference reads a snapshot of the kernel's input: a read-only copy of
+the register, checked against the register's kept norm, so a fiber's
+references read its k qubits. Its index arrays (the basis indices, the
+sub-pattern of each index, the diffusion block of each index) are built
+once per active ``KernelCrossCheck`` and key, the register width and the
+qubit set, kept read-only and dropped when the context exits.
 """
 
 from __future__ import annotations
@@ -140,10 +159,18 @@ class Statevector:
         return p
 
 
-def _check_norm(amps: np.ndarray) -> None:
+def _check_norm(amps: np.ndarray, kept: float = 1.0) -> None:
+    """Raise ValidationError unless the norm is ``kept``, to within a relative NORM_TOL."""
     norm = math.sqrt(np.vdot(amps, amps).real)
-    if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
-        raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+    if not math.isfinite(norm) or abs(norm - kept) > NORM_TOL * kept:
+        raise ValidationError(
+            f"state norm {norm} deviates from {kept:g} beyond {NORM_TOL * kept:g}"
+        )
+
+
+def _fiber_norm(width: int, num_qubits: int) -> float:
+    """Norm of the lowest ``width`` qubits' fiber of a uniform ``num_qubits`` state."""
+    return math.sqrt(2**width / 2**num_qubits)
 
 
 class Register:
@@ -151,36 +178,74 @@ class Register:
 
     ``Register(num_qubits, amplitudes)`` takes an array the caller already
     owns, without copying it; ``Register.copy_of`` opens one on a copy of a
-    Statevector. A kernel writes into the register's array and returns the
-    same register, unchecked; a loop calls ``check_norm`` once per round,
-    after the round's diffusion. ``freeze`` is the one norm-checked hand-off
-    to a Statevector, which takes the array without a copy; the register is
-    spent after that.
+    Statevector. ``norm`` is the norm the register must keep: 1, or a
+    fiber's norm (``uniform_fiber``). A kernel writes into the register's
+    array and returns the same register, unchecked; a loop calls
+    ``check_norm`` once per round, after the round's diffusion. ``freeze``
+    is the one norm-checked hand-off to a Statevector, which takes the
+    array without a copy; the register is spent after that.
     """
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "norm")
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray, norm: float = 1.0) -> None:
         self.amplitudes = _as_amplitudes(num_qubits, amplitudes)
         self.num_qubits = num_qubits
+        self.norm = norm
 
     @classmethod
     def copy_of(cls, sv: Statevector) -> "Register":
         return cls(sv.num_qubits, sv.amplitudes.copy())
 
     def check_norm(self) -> None:
-        """Raise ValidationError unless the register still has unit norm."""
-        _check_norm(self.amplitudes)
+        """Raise ValidationError unless the register still has its kept norm."""
+        _check_norm(self.amplitudes, self.norm)
+
+    def tile(self, num_qubits: int, out: np.ndarray | None = None) -> "Register":
+        """The ``num_qubits``-qubit register this uniform fiber was cut from.
+
+        Every fiber of the lowest ``self.num_qubits`` qubits becomes a copy
+        of this one, in one write into ``out`` (or a fresh array), and the
+        returned register views that array, with unit kept norm.
+        """
+        if self.norm != _fiber_norm(self.num_qubits, num_qubits):
+            raise ConfigurationError(
+                f"a {self.num_qubits}-qubit register of norm {self.norm} is not a "
+                f"uniform fiber of {num_qubits} qubits"
+            )
+        if out is None:
+            out = np.empty(_dim(num_qubits), dtype=np.complex128)
+        tiled = Register(num_qubits, out)
+        tiled.amplitudes.reshape(-1, 2**self.num_qubits)[:] = self.amplitudes
+        return tiled
 
     def freeze(self) -> Statevector:
+        if self.norm != 1.0:
+            raise ValidationError(
+                f"a register of norm {self.norm} is a fiber, not a state; tile it first"
+            )
         amps, self.amplitudes = self.amplitudes, None
         return Statevector(self.num_qubits, amps)
 
 
 def init_uniform(num_qubits: int) -> Register:
     """A register opened in the uniform superposition over all basis states."""
+    return uniform_fiber(num_qubits, num_qubits)
+
+
+def uniform_fiber(num_qubits: int, width: int) -> Register:
+    """The lowest ``width`` qubits of ``init_uniform(num_qubits)``, as one fiber.
+
+    A ``width``-qubit register holding the 1/sqrt(2**num_qubits) that
+    ``init_uniform(num_qubits)`` writes, of kept norm
+    sqrt(2**width / 2**num_qubits); ``tile`` writes it back into the full
+    register.
+    """
     dim = _dim(num_qubits)
-    return Register(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    if not 1 <= width <= num_qubits:
+        raise ConfigurationError(f"fiber of {width} qubits outside 1..{num_qubits}")
+    amps = np.full(2**width, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    return Register(width, amps, _fiber_norm(width, num_qubits))
 
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
@@ -207,12 +272,15 @@ class KernelCrossCheck:
     Every kernel call inside the context is checked, on any register the
     simulator can hold. Deviations are recorded per operation and
     summarized in ``max_deviation``. Contexts nest: the innermost one
-    records, and the enclosing one resumes when it exits.
+    records, and the enclosing one resumes when it exits. The references'
+    index arrays are kept in ``index_arrays`` while the context is active,
+    one read-only array per key, and dropped when it exits.
     """
 
     def __init__(self) -> None:
         self.max_deviation = 0.0
         self.records: list[tuple[str, float]] = []
+        self.index_arrays: dict[tuple, np.ndarray] = {}
         self._token: contextvars.Token | None = None
 
     def __enter__(self) -> "KernelCrossCheck":
@@ -221,6 +289,7 @@ class KernelCrossCheck:
 
     def __exit__(self, *exc) -> None:
         _ACTIVE_CHECK.reset(self._token)
+        self.index_arrays.clear()
 
     def record(self, label: str, deviation: float) -> None:
         self.records.append((label, deviation))
@@ -235,25 +304,36 @@ def _maybe_crosscheck(
         check.record(label, float(np.max(np.abs(sv.amplitudes - reference()))))
 
 
-def _unwritten(sv: Register) -> Statevector | None:
+def _unwritten(sv: Register) -> Register | None:
     """Under an active cross-check, a snapshot of the register before the
-    kernel writes it, for the reference to read; None otherwise."""
+    kernel writes it, for the reference to read; None otherwise.
+
+    The snapshot is one read-only copy, checked against the register's
+    kept norm, so a fiber's snapshot is a fiber too.
+    """
     if _ACTIVE_CHECK.get() is None:
         return None
-    return Statevector(sv.num_qubits, sv.amplitudes.copy())
+    amps = sv.amplitudes.copy()
+    _check_norm(amps, sv.norm)
+    amps.flags.writeable = False
+    return Register(sv.num_qubits, amps, sv.norm)
 
 
 # ---------------------------------------------------------------------------
 # kernels: each reshapes the amplitudes, without a copy, into one axis per
 # run of consecutive qubits of one kind (in ``on`` or not)
 
-def _run_view(num_qubits: int, on: QubitSet) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+@functools.lru_cache(maxsize=1024)
+def _run_view(
+    num_qubits: int, on: QubitSet
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """Shape of the run view and the ``on`` runs' axes.
 
     The shape lists the runs highest qubits first, as a C-order reshape of
     the flat amplitudes does. Each ``on`` run is given as (axis, shift,
     width), lowest run first: its axis index is bits shift .. shift+width-1
-    of a sub-pattern. Built from ``on`` alone, in O(len(on)).
+    of a sub-pattern. Built from ``on`` alone, in O(len(on)), once per
+    width and qubit set: every round of a stage reads the same view.
     """
     widths: list[int] = []  # qubits per run, lowest run first
     fields: list[list[int]] = []  # [run, shift, width] per ``on`` run
@@ -272,12 +352,12 @@ def _run_view(num_qubits: int, on: QubitSet) -> tuple[tuple[int, ...], list[tupl
         widths.append(num_qubits - free)
     last = len(widths) - 1
     shape = tuple(1 << w for w in reversed(widths))
-    axes = [(last - run, shift, width) for run, shift, width in fields]
+    axes = tuple((last - run, shift, width) for run, shift, width in fields)
     return shape, axes
 
 
 def _pattern_index(
-    ndim: int, axes: list[tuple[int, int, int]], patterns: np.ndarray | int
+    ndim: int, axes: tuple[tuple[int, int, int], ...], patterns: np.ndarray | int
 ) -> tuple:
     """Run-view index of the given sub-patterns, every other axis whole.
 
@@ -473,8 +553,9 @@ def marginal_probability(sv: Statevector, on: QubitSet, pattern: int) -> float:
 
 # ---------------------------------------------------------------------------
 # reference outputs: basis-index arithmetic, sharing no index code with the
-# kernels above. Each takes the kernel's input and returns the amplitudes
-# the kernel must produce, in O(dim) time and memory. The names keep their
+# kernels above. Each takes the kernel's input, a Statevector or the
+# kernel's snapshot register, and returns the amplitudes the kernel must
+# produce, in O(dim) time and memory. The names keep their
 # old `_matrix` suffix because bench/tracing.py wraps them by name.
 
 def _bit_runs(on: QubitSet) -> list[tuple[int, int, int]]:
@@ -498,56 +579,86 @@ def _subpattern(indices: np.ndarray, on: QubitSet) -> np.ndarray:
     return sub
 
 
-def _moved(sv: Statevector, dest: np.ndarray) -> np.ndarray:
+def _index_array(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The references' index array for ``key``, read-only: built once per
+    active cross-check, and afresh outside one."""
+    check = _ACTIVE_CHECK.get()
+    cache = {} if check is None else check.index_arrays
+    array = cache.get(key)
+    if array is None:
+        array = cache[key] = build()
+        array.flags.writeable = False
+    return array
+
+
+def _basis_indices(num_qubits: int) -> np.ndarray:
+    return _index_array(("basis", num_qubits), lambda: np.arange(2**num_qubits))
+
+
+def _subpatterns(num_qubits: int, on: QubitSet) -> np.ndarray:
+    """The ``on`` sub-pattern of every basis index."""
+    return _index_array(
+        ("subpattern", num_qubits, on.indices),
+        lambda: _subpattern(_basis_indices(num_qubits), on),
+    )
+
+
+def _block_ids(num_qubits: int, on: QubitSet) -> np.ndarray:
+    """The diffusion block of every basis index: the index with the ``on``
+    bits cleared."""
+    mask = sum(1 << q for q in on.indices)
+    return _index_array(
+        ("block", num_qubits, on.indices), lambda: _basis_indices(num_qubits) & ~mask
+    )
+
+
+def _moved(sv: Statevector | Register, dest: np.ndarray) -> np.ndarray:
     """Amplitudes with basis index i carried to dest[i]."""
     out = np.empty_like(sv.amplitudes)
     out[dest] = sv.amplitudes
     return out
 
 
-def dense_phase_flip_matrix(sv: Statevector, marked: np.ndarray, on: QubitSet) -> np.ndarray:
+def dense_phase_flip_matrix(
+    sv: Statevector | Register, marked: np.ndarray, on: QubitSet
+) -> np.ndarray:
     """Reference output of ``apply_phase_flip``: a sign per basis index."""
     marked = _checked_mask(marked, on)
-    idx = np.arange(sv.dim)
-    return np.where(marked[_subpattern(idx, on)], -1.0, 1.0) * sv.amplitudes
+    return np.where(marked[_subpatterns(sv.num_qubits, on)], -1.0, 1.0) * sv.amplitudes
 
 
-def dense_diffusion_matrix(sv: Statevector, on: QubitSet) -> np.ndarray:
+def dense_diffusion_matrix(sv: Statevector | Register, on: QubitSet) -> np.ndarray:
     """Reference output of ``apply_diffusion``: 2 * block mean - amplitude.
 
-    A block is the set of basis indices that agree outside ``on``; its id
-    is the index with the ``on`` bits cleared.
+    A block is the set of basis indices that agree outside ``on``.
     """
-    idx = np.arange(sv.dim)
-    mask = 0
-    for q in on.indices:
-        mask |= 1 << q
-    block = idx & ~mask
+    block = _block_ids(sv.num_qubits, on)
     amps = sv.amplitudes
-    sums = np.bincount(block, weights=amps.real, minlength=sv.dim) + 1j * np.bincount(
-        block, weights=amps.imag, minlength=sv.dim
+    dim = amps.size
+    sums = np.bincount(block, weights=amps.real, minlength=dim) + 1j * np.bincount(
+        block, weights=amps.imag, minlength=dim
     )
     return 2.0 * sums[block] / 2 ** len(on) - amps
 
 
 def dense_bit_flip_matrix(
-    sv: Statevector, target: int, marked: np.ndarray, on: QubitSet
+    sv: Statevector | Register, target: int, marked: np.ndarray, on: QubitSet
 ) -> np.ndarray:
     """Reference output of ``apply_conditional_bit_flip``: a destination per index."""
     marked = _checked_mask(marked, on)
-    idx = np.arange(sv.dim)
-    return _moved(sv, np.where(marked[_subpattern(idx, on)], idx ^ (1 << target), idx))
+    idx = _basis_indices(sv.num_qubits)
+    sub = _subpatterns(sv.num_qubits, on)
+    return _moved(sv, np.where(marked[sub], idx ^ (1 << target), idx))
 
 
 def dense_index_map_matrix(
-    sv: Statevector, mapping: Sequence[int], on: QubitSet
+    sv: Statevector | Register, mapping: Sequence[int], on: QubitSet
 ) -> np.ndarray:
     """Reference output of ``apply_index_map``: a destination per index."""
     arr = np.asarray(mapping, dtype=np.int64)
-    idx = np.arange(sv.dim)
-    sub = _subpattern(idx, on)
+    sub = _subpatterns(sv.num_qubits, on)
     delta = sub ^ arr[sub]
-    dest = idx.copy()
+    dest = _basis_indices(sv.num_qubits).copy()
     for q0, j0, length in _bit_runs(on):
         dest ^= ((delta >> j0) & ((1 << length) - 1)) << q0
     return _moved(sv, dest)

@@ -19,7 +19,11 @@ Every pipeline runs ``grover.Stage`` records, built by the constructors
 below, through ``grover.amplify``, which counts their rounds in the
 caller's QueryCounter. Each simulated state is one Register: the pipeline
 opens it, runs every stage on it in place, and freezes it once into the
-Statevector it returns.
+Statevector it returns. A stage that starts uniform and acts only on the
+candidate register, candidate preparation (``prepare_candidates``) or a
+trial's candidate stage, runs first on one fiber of the lowest g qubits,
+which is then tiled into the wider register: 2**g amplitudes per round
+instead of the wider register's, and the same state bit for bit.
 Patterns stay ints: a measured state's top outcome is a basis index, which
 one oracle query checks, and the one ``Measurement`` record holds the
 state, its counts, the checked label and the verdict. Block read-outs are
@@ -28,7 +32,6 @@ arrays indexed by pattern.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +49,7 @@ from .statevector import (
     marginal_distribution,
     qubit_range,
     sample,
+    uniform_fiber,
 )
 
 DECISION_THRESHOLD = 0.8
@@ -172,11 +176,32 @@ def upper_stage(problem: SearchProblem) -> Stage:
     return Stage.standard(marked, problem.all_qubits, problem.upper_qubits)
 
 
-def prepare_candidates(problem: SearchProblem, sv: Register, counter: QueryCounter) -> Register:
-    """Amplify the candidate set on qubits 0..g-1 of a register uniform over them."""
+def _on_lower_fiber(
+    problem: SearchProblem,
+    stage: Stage,
+    width: int,
+    counter: QueryCounter,
+    into: np.ndarray | None = None,
+) -> Register:
+    """Run ``stage``, which acts on qubits 0..g-1 alone, on a uniform start
+    of ``width`` qubits: on one fiber, then tiled into ``into`` or a fresh
+    array."""
+    fiber = amplify(uniform_fiber(width, problem.g), (stage,), counter)
+    return fiber.tile(width, into)
+
+
+def prepare_candidates(
+    problem: SearchProblem, width: int, counter: QueryCounter, into: np.ndarray | None = None
+) -> Register:
+    """Amplify the candidate set on qubits 0..g-1 of a uniform ``width``-qubit register.
+
+    The rounds run on one g-qubit fiber, which is then tiled into the
+    returned register, on ``into`` (an array of 2**width entries) or a
+    fresh one.
+    """
     lower = problem.lower_qubits
     stage = Stage.standard(problem.candidates.mask(), lower, lower, problem.v)
-    return amplify(sv, (stage,), counter)
+    return _on_lower_fiber(problem, stage, width, counter, into)
 
 
 def require_matching_candidate(problem: SearchProblem) -> None:
@@ -195,7 +220,7 @@ def entangled_nested(problem: SearchProblem, counter: QueryCounter) -> Statevect
     solution carries roughly 1/v of the mass.
     """
     require_matching_candidate(problem)
-    sv = prepare_candidates(problem, init_uniform(problem.m), counter)
+    sv = prepare_candidates(problem, problem.m, counter)
     return amplify(sv, (upper_stage(problem),), counter).freeze()
 
 
@@ -206,7 +231,7 @@ def product_subspace_search(problem: SearchProblem, counter: QueryCounter) -> St
     the result is a product state pairing the upper target with every
     candidate, matching or not.
     """
-    sv = prepare_candidates(problem, init_uniform(problem.m), counter)
+    sv = prepare_candidates(problem, problem.m, counter)
     upper = problem.upper_qubits
     stage = Stage.standard(problem.global_oracle.upper.mask(), upper, upper)
     return amplify(sv, (stage,), counter).freeze()
@@ -223,9 +248,12 @@ def iterative_trial_state(problem: SearchProblem, k: int, counter: QueryCounter)
     One trial amplifies candidate k alone on the lower half, then runs the
     global-oracle upper rounds. When candidate k completes the solution the
     solution state carries nearly all the mass; otherwise the upper half
-    stays near-uniform against candidate k.
+    stays near-uniform against candidate k. The candidate stage runs on one
+    fiber, tiled into the m-qubit register the upper stage runs on.
     """
-    return amplify(init_uniform(problem.m), trial_stages(problem, k), counter).freeze()
+    lower, upper = trial_stages(problem, k)
+    sv = _on_lower_fiber(problem, lower, problem.m, counter)
+    return amplify(sv, (upper,), counter).freeze()
 
 
 def iterative_search(
@@ -374,12 +402,14 @@ def disentangled_search(problem: SearchProblem, counter: QueryCounter) -> Disent
     So the rounds run on a working register of n + 1 qubits, n = g +
     v(m - g): the candidate register and the blocks in order, and on top
     one flag that each block borrows in turn. It views the leading entries
-    of the composite's buffer and is norm-checked once per round, after
-    the diffusion. After each block the flag must hold no probability at
-    all, or ValidationError names it; that mass is the block's flag
-    excitation. After the last block the flag-0 half moves into the
-    composite's flags-cleared slots, which are frozen once into the
-    returned state.
+    of the composite's buffer. The candidate rounds run on one g-qubit
+    fiber, tiled into the flag-clear half, the flag-set half left at +0.0;
+    each block round kicks through the flag on the whole register, then
+    diffuses and norm-checks the flag-clear half. After each block the
+    flag must hold no probability at all, or ValidationError names it;
+    that mass is the block's flag excitation. After the last block the
+    flag-clear half moves into the composite's flags-cleared slots, which
+    are frozen once into the returned state.
 
     Each block's marginal is read once from that state and returned with
     it. The winner is the unique block whose marginal puts more than
@@ -393,8 +423,8 @@ def disentangled_search(problem: SearchProblem, counter: QueryCounter) -> Disent
     # diffusion sums the same values in the same order as it would on the
     # composite, and the assembled state is the composite's bit for bit
     work = amps[: 2 ** (n + 1)]
-    work[: 2**n] = 1.0 / math.sqrt(2**n)
-    sv = prepare_candidates(problem, Register(n + 1, work), counter)
+    prepare_candidates(problem, n, counter, into=work[: 2**n])
+    sv = Register(n + 1, work)
 
     excitations = []
     for k, stage in enumerate(block_stages(problem, layout), start=1):

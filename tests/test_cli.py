@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtreesearch.cli as climod
+import qtreesearch.config as configmod
 import qtreesearch.runner as runmod
 import qtreesearch.statevector as svmod
 from qtreesearch.cli import main, render_json, render_run_text
@@ -45,7 +46,42 @@ FIVE_QUBIT = (
 )
 
 
+def _count_problems(monkeypatch):
+    """Count the SearchProblems that validating a config builds."""
+    built = []
+    real = configmod.SearchProblem
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(configmod, "SearchProblem", counting)
+    return built
+
+
 class TestRun:
+    @pytest.mark.parametrize(
+        "argv, problems",
+        [
+            # the bundled config already asks for json and seed 17
+            (("run", "--format", "json"), 1),
+            (("run", "--format", "json", "--seed", "17"), 1),
+            (("verify", "--seed", "17"), 1),
+            # an override that changes a field is validated again
+            (("run", "--format", "json", "--seed", "18"), 2),
+            (("verify", "--seed", "18"), 2),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+    )
+    def test_only_an_override_that_changes_a_field_revalidates(
+        self, monkeypatch, tmp_path, argv, problems
+    ):
+        built = _count_problems(monkeypatch)
+        command, *rest = argv
+        out = str(tmp_path / "out")
+        assert run_cli(command, "--config", "fig_a_basic_0", *rest, "--out", out) == EXIT_OK
+        assert len(built) == problems
+
     def test_json_to_stdout(self, capsys):
         assert run_cli("run", "--config", "fig_a_basic_0", "--format", "json") == EXIT_OK
         artifact = json.loads(capsys.readouterr().out)

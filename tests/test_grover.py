@@ -206,6 +206,22 @@ class TestAmplifyLoop:
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
         assert (counter.oracle_calls, counter.diffusion_calls) == (3, 3)
 
+    def test_a_flag_must_be_the_top_qubit(self):
+        # uniform over qubits 0..2, qubit 3 clear
+        amps = np.zeros(16, dtype=np.complex128)
+        amps[:8] = 1 / math.sqrt(8)
+        marked = np.array([False, True])
+        counter = QueryCounter()
+        with pytest.raises(ConfigurationError, match="flag 2 is not the top qubit"):
+            amplify(Register(4, amps.copy()), [Stage(marked, qubits(0), qubits(1), 1, 2)], counter)
+        assert counter.total == 0
+        # on the top qubit the kick leaves the flag clear, and the round
+        # diffuses the flag-clear half
+        out = amplify(Register(4, amps), [Stage(marked, qubits(0), qubits(1), 1, 3)], counter)
+        assert (counter.oracle_calls, counter.diffusion_calls) == (1, 1)
+        assert not out.amplitudes[8:].any()
+        assert np.vdot(out.amplitudes[:8], out.amplitudes[:8]).real == pytest.approx(1.0)
+
     def test_negative_rounds_are_rejected(self):
         with pytest.raises(ConfigurationError, match="rounds"):
             stage = Stage(np.arange(4) == 0, qubits(0, 1), qubits(0, 1), -1)

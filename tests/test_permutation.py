@@ -292,7 +292,7 @@ class TestCompactedSearch:
         problem = five_qubit_problem()
         counter = QueryCounter()
         spec = build_permutation(problem.candidates, convention="little_endian")
-        sv = prepare_candidates(problem, init_uniform(problem.m), counter)
+        sv = prepare_candidates(problem, problem.m, counter)
         apply_index_map(sv, spec.mapping, problem.lower_qubits)
         for label, weight in probability_map(sv.freeze()).items():
             if weight > 1e-12:

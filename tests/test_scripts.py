@@ -2,6 +2,7 @@
 fail on bad input the way the CLI does."""
 
 import ast
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qtreesearch.cli import main
-from qtreesearch.config import bundled_config_dir
+from qtreesearch.config import bundled_config_dir, bundled_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,7 +50,7 @@ def test_cost_tables_text_matches_golden():
     assert done.stdout == (GOLDEN / "cli" / "cost_tables.txt").read_text()
 
 
-def test_artifact_digests_prints_each_job_once_and_the_same_twice(tmp_path, monkeypatch):
+def test_artifact_digests_prints_each_job_once_and_the_same_twice(tmp_path, monkeypatch, capsys):
     done = run_script("artifact_digests.py", "cli-small", "--seeds", "1")
     assert done.returncode == 0, done.stderr
     assert run_script("artifact_digests.py", "cli-small", "--seeds", "1").stdout == done.stdout
@@ -59,11 +60,24 @@ def test_artifact_digests_prints_each_job_once_and_the_same_twice(tmp_path, monk
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     jobs = workloads.build_jobs("cli-small", 1, tmp_path, bundled_config_dir()).jobs
-    rows = [line.split(" ") for line in done.stdout.splitlines()]
+    lines = done.stdout.splitlines()
+    rows = [line.split(" ") for line in lines[: len(jobs)]]
     assert [row[:3] for row in rows] == [["cli-small", "1", job.label] for job in jobs]
     for _, _, _, exit_code, digest in rows:
         assert exit_code.isdigit()
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    # then one line per bundled config's stdout, under run and verify, in
+    # json and csv, each the digest of what the CLI prints
+    outputs = [line.split(" ") for line in lines[len(jobs) :]]
+    assert [row[:4] for row in outputs] == [
+        ["stdout", command, output_format, name]
+        for command in ("run", "verify")
+        for output_format in ("json", "csv")
+        for name in sorted(bundled_configs())
+    ]
+    for _, command, output_format, name, exit_code, digest in outputs:
+        assert main([command, "--config", name, "--format", output_format]) == int(exit_code)
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -8,16 +8,24 @@ a 2-round single-mark search over 8 states puts 121/128 on the mark, and a
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtreesearch import grover, strategies
+from qtreesearch import grover, permutation, strategies
+from qtreesearch import statevector as svmod
 from qtreesearch.errors import ConfigurationError, PreconditionError, ValidationError
 from qtreesearch.grover import QueryCounter, Stage, amplify
 from qtreesearch.oracles import ConcatenatedOracle, ConjunctionOracle, PartialCandidateSet
 from qtreesearch.statevector import (
+    KernelCrossCheck,
     Register,
+    apply_conditional_bit_flip,
+    apply_diffusion,
+    apply_phase_flip,
     basis_state,
     init_uniform,
     marginal_distribution,
@@ -25,6 +33,7 @@ from qtreesearch.statevector import (
     probability_map,
     qubits,
     sample,
+    uniform_fiber,
 )
 from qtreesearch.strategies import (
     DECISION_THRESHOLD,
@@ -40,6 +49,8 @@ from qtreesearch.strategies import (
     product_subspace_search,
     prepare_candidates,
     recover_candidate,
+    trial_stages,
+    upper_stage,
 )
 
 TWO_ROUND_EIGHT = 121 / 128  # sin^2(5 asin(sqrt(1/8))) exactly
@@ -139,7 +150,7 @@ class TestMeasureAndVerify:
 class TestPrepareCandidates:
     def test_quarter_marked_prep_is_exact(self):
         problem = five_qubit_problem()
-        sv = prepare_candidates(problem, init_uniform(problem.m), QueryCounter()).freeze()
+        sv = prepare_candidates(problem, problem.m, QueryCounter()).freeze()
         probs = probability_map(sv)
         # all candidate mass, spread uniformly over upper values
         for upper in range(4):
@@ -278,6 +289,33 @@ class TestIterativeSearch:
             assert counter.oracle_calls <= 2 * (2 + 1 + 1)
 
 
+def full_width_replay(sv, stages, counter):
+    """Every round of every stage with each kernel on the whole register.
+
+    Any qubit may be a stage's flag, and the whole register is
+    norm-checked once per round: the reference for stages that run on a
+    fiber or on a flag-clear half.
+    """
+    for stage in stages:
+        for _ in range(stage.rounds):
+            if stage.flag is None:
+                apply_phase_flip(sv, stage.marked, stage.flip_on)
+            else:
+                apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
+                apply_phase_flip(sv, np.array([False, True]), qubits(stage.flag))
+                apply_conditional_bit_flip(sv, stage.flag, stage.marked, stage.flip_on)
+            apply_diffusion(sv, stage.diffuse_on)
+            sv.check_norm()
+            counter.count_oracle()
+            counter.count_diffusion()
+    return sv
+
+
+def candidate_prep_stage(problem):
+    lower = problem.lower_qubits
+    return Stage.standard(problem.candidates.mask(), lower, lower, problem.v)
+
+
 def flag_per_block_reference(problem, counter):
     """The composite run with one flag per block, every round on all qubits.
 
@@ -290,13 +328,13 @@ def flag_per_block_reference(problem, counter):
     flags = sum(1 << layout.flag(k) for k in range(1, problem.v + 1))
     amps = np.zeros(2**total, dtype=np.complex128)
     amps[(np.arange(2**total) & flags) == 0] = 1.0 / math.sqrt(2 ** (total - problem.v))
-    sv = prepare_candidates(problem, Register(total, amps), counter)
     global_mask = problem.global_oracle.mask().reshape(-1, 2**problem.g)
     stages = [
         Stage.standard(global_mask[:, y], layout.block(k), layout.block(k), flag=layout.flag(k))
         for k, y in enumerate(problem.candidates.candidates, start=1)
     ]
-    return amplify(sv, stages, counter).freeze()
+    sv = Register(total, amps)
+    return full_width_replay(sv, [candidate_prep_stage(problem), *stages], counter).freeze()
 
 
 def shuffled_problem(m, g, v, null, seed):
@@ -367,23 +405,36 @@ class TestDisentangledSearch:
         assert counter.oracle_calls == 5
 
     def test_block_rounds_continue_on_the_prepared_register(self, monkeypatch):
-        # the candidate rounds and the block rounds share one register, a
-        # view of the composite's buffer: the returned state holds that
-        # buffer, and the register is spent once the composite is assembled
-        prepared = []
-        real = strategies.prepare_candidates
+        # the candidate fiber is tiled into the flag-clear half of the
+        # working register, the leading entries of the composite's buffer:
+        # both blocks run on that one register, the returned state holds
+        # that buffer, and the register is spent once the composite is
+        # assembled
+        prepared, blocks = [], []
+        real_prepare, real_amplify = strategies.prepare_candidates, strategies.amplify
 
         def recording(*args, **kwargs):
-            register = real(*args, **kwargs)
+            register = real_prepare(*args, **kwargs)
             prepared.append((register, register.amplitudes))
             return register
 
+        def block(sv, stages, counter):
+            if stages[0].flag is not None:
+                blocks.append((sv, sv.amplitudes))
+            return real_amplify(sv, stages, counter)
+
         monkeypatch.setattr(strategies, "prepare_candidates", recording)
+        monkeypatch.setattr(strategies, "amplify", block)
         state = disentangled_search(six_qubit_problem(), QueryCounter()).state
         [(register, array)] = prepared
-        assert register.num_qubits == 3 + 2 * 3 + 1
-        assert state.amplitudes.base is array.base
-        assert register.amplitudes is None
+        assert register.num_qubits == 3 + 2 * 3
+        assert array.base is state.amplitudes.base
+        [(working, amplitudes), second] = blocks
+        assert second[0] is working and second[1] is amplitudes
+        assert working.num_qubits == 3 + 2 * 3 + 1
+        assert amplitudes.base is array.base
+        assert np.shares_memory(amplitudes[: array.size], array)
+        assert working.amplitudes is None
 
     @pytest.mark.parametrize("block, round_", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_a_non_unitary_round_raises_at_that_round(self, monkeypatch, block, round_):
@@ -432,8 +483,8 @@ class TestDisentangledSearch:
 
     def test_a_flag_left_excited_raises_before_the_next_block(self, monkeypatch):
         # round 1 of block 1 skips its uncompute, so the flag keeps the
-        # kicked amplitude; norms stay 1, and the leak check after block 1
-        # raises before any kernel of block 2 runs
+        # kicked amplitude; the flag-clear half the round diffuses has lost
+        # that mass, and its norm check raises at the end of round 1
         calls = {"flip": 0, "phase": 0, "diffusion": 0}
         real_flip, real_phase, real_diffusion = (
             grover.apply_conditional_bit_flip,
@@ -456,10 +507,10 @@ class TestDisentangledSearch:
         monkeypatch.setattr(grover, "apply_conditional_bit_flip", flip)
         monkeypatch.setattr(grover, "apply_phase_flip", phase)
         monkeypatch.setattr(grover, "apply_diffusion", diffusion)
-        with pytest.raises(ValidationError, match="flag 1 retains probability"):
+        with pytest.raises(ValidationError, match="norm"):
             disentangled_search(six_qubit_problem(), QueryCounter())
-        # one candidate round, then block 1's two rounds
-        assert calls == {"flip": 4, "phase": 3, "diffusion": 3}
+        # one candidate round, then block 1's first round
+        assert calls == {"flip": 2, "phase": 2, "diffusion": 2}
 
     def test_any_probability_left_on_the_flag_raises(self, monkeypatch):
         # 1e-13 of amplitude, 1e-26 of probability, on the flag after block 1:
@@ -543,3 +594,133 @@ class TestDisentangledSearch:
         result = recover_candidate(problem, 2, 256, 5, QueryCounter())
         assert not result.verified
         assert result.found is None
+
+
+def _full_width_prep(problem, width, counter):
+    return full_width_replay(init_uniform(width), [candidate_prep_stage(problem)], counter)
+
+
+def _assert_replayed(run, start, stages):
+    """``run(counter)``'s state equals ``stages`` replayed at full width on
+    ``start``, signed zeros included, for the same queries."""
+    counter, expected_counter = QueryCounter(), QueryCounter()
+    state = run(counter)
+    expected = full_width_replay(start, stages, expected_counter).freeze()
+    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert counter == expected_counter
+
+
+@st.composite
+def width_cases(draw):
+    """(m, g, v, null, seed) over m <= 10, every valid g and shuffled candidates."""
+    m = draw(st.integers(min_value=2, max_value=10))
+    g = draw(st.integers(min_value=1, max_value=m - 1))
+    v = draw(st.integers(min_value=1, max_value=min(2**g, 5)))
+    null = draw(st.booleans()) and v < 2**g
+    return m, g, v, null, draw(st.integers(min_value=0, max_value=2**32))
+
+
+class TestStagesAtTheirWidth:
+    """Candidate stages run on one g-qubit fiber and block rounds diffuse
+    the flag-clear half, leaving every state as a full-width run leaves it."""
+
+    @given(width_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_each_strategy_matches_its_full_width_replay(self, case):
+        m, g, v, null, seed = case
+        problem = shuffled_problem(m, g, v, null, seed)
+        prep = candidate_prep_stage(problem)
+        upper = problem.upper_qubits
+        factored = Stage.standard(problem.global_oracle.upper.mask(), upper, upper)
+        _assert_replayed(
+            lambda c: product_subspace_search(problem, c), init_uniform(m), [prep, factored]
+        )
+        if not null:
+            _assert_replayed(
+                lambda c: entangled_nested(problem, c), init_uniform(m), [prep, upper_stage(problem)]
+            )
+        for k in range(1, v + 1):
+            _assert_replayed(
+                lambda c: iterative_trial_state(problem, k, c),
+                init_uniform(m),
+                trial_stages(problem, k),
+            )
+        for convention in permutation.CONVENTIONS:
+            counter, expected_counter = QueryCounter(), QueryCounter()
+            state = permutation.compacted_search_state(problem, counter, "grover", convention)
+            with mock.patch.object(permutation, "prepare_candidates", _full_width_prep):
+                expected = permutation.compacted_search_state(
+                    problem, expected_counter, "grover", convention
+                )
+            assert state.state.amplitudes.tobytes() == expected.state.amplitudes.tobytes()
+            assert counter == expected_counter
+        if v >= 2 and g + v * (m - g + 1) <= 16:
+            counter, expected_counter = QueryCounter(), QueryCounter()
+            outcome = disentangled_search(problem, counter)
+            expected = flag_per_block_reference(problem, expected_counter)
+            assert outcome.state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+            assert counter == expected_counter
+
+    def test_a_norm_fault_in_a_fiber_round_raises_there_before_the_tile(self, monkeypatch):
+        # one candidate: r(8, 1) = 2 preparation rounds on the 3-qubit
+        # fiber; the first round's diffusion scales it, and that round's
+        # norm check raises before the fiber is tiled
+        problem = five_qubit_problem(candidate_strings=("101",))
+        diffused, tiled = [], []
+        real_diffusion, real_tile = grover.apply_diffusion, Register.tile
+
+        def diffusion(sv, on):
+            out = real_diffusion(sv, on)
+            diffused.append(sv.num_qubits)
+            if len(diffused) == 1:
+                out.amplitudes *= 1.01
+            return out
+
+        def tile(self, *args):
+            tiled.append(self.num_qubits)
+            return real_tile(self, *args)
+
+        monkeypatch.setattr(grover, "apply_diffusion", diffusion)
+        monkeypatch.setattr(Register, "tile", tile)
+        with pytest.raises(ValidationError, match="norm .* deviates from 0.5"):
+            product_subspace_search(problem, QueryCounter())
+        assert diffused == [3]
+        assert tiled == []
+
+    def test_a_fiber_cannot_be_frozen(self):
+        problem = five_qubit_problem()
+        fiber = amplify(uniform_fiber(5, 3), [candidate_prep_stage(problem)], QueryCounter())
+        assert fiber.norm == 0.5
+        with pytest.raises(ValidationError, match="fiber"):
+            fiber.freeze()
+        assert fiber.amplitudes is not None
+        # a fiber tiles back only into the width it was cut from
+        with pytest.raises(ConfigurationError, match="uniform fiber"):
+            fiber.tile(6)
+        assert fiber.tile(5).freeze().amplitudes.tobytes() == (
+            prepare_candidates(problem, 5, QueryCounter()).freeze().amplitudes.tobytes()
+        )
+
+    def test_fiber_references_read_a_fiber_snapshot(self, monkeypatch):
+        # the preparation is one round on the 3-qubit fiber, the upper stage
+        # one round on all 5 qubits
+        seen = []
+        for name in ("dense_phase_flip_matrix", "dense_diffusion_matrix"):
+            def recording(sv, *args, _real=getattr(svmod, name)):
+                seen.append((sv.num_qubits, sv.norm, sv.amplitudes.flags.writeable))
+                return _real(sv, *args)
+
+            monkeypatch.setattr(svmod, name, recording)
+        with KernelCrossCheck() as check:
+            product_subspace_search(five_qubit_problem(), QueryCounter())
+            arrays = dict(check.index_arrays)
+        assert seen == [(3, 0.5, False)] * 2 + [(5, 1.0, False)] * 2
+        assert check.max_deviation <= 1e-12
+        # basis indices, sub-patterns and diffusion blocks, one per width
+        # and qubit set, read-only, and dropped when the context exits
+        assert sorted(key[:2] for key in arrays) == [
+            ("basis", 3), ("basis", 5), ("block", 3), ("block", 5),
+            ("subpattern", 3), ("subpattern", 5),
+        ]
+        assert not any(array.flags.writeable for array in arrays.values())
+        assert check.index_arrays == {}

@@ -135,9 +135,9 @@ def test_amplify_calls_each_traced_kernel_once_per_round(monkeypatch):
 
 def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
     calls = _count_calls(monkeypatch)
-    # m = 6, g = 3, v = 2: the rounds run on 3 + 2 * 3 + 1 = 10 qubits,
-    # the candidate register, both blocks and one borrowed flag; one
-    # preparation round, and r(8, 1) = 2 rounds in each block
+    # m = 6, g = 3, v = 2: one preparation round on the 3-qubit candidate
+    # fiber, then r(8, 1) = 2 rounds in each block on 3 + 2 * 3 + 1 = 10
+    # qubits, the candidate register, both blocks and one borrowed flag
     problem = strategies.SearchProblem(
         global_oracle=ConcatenatedOracle(
             ConjunctionOracle.from_signed_literals([-3, -2, 1], width=3),
@@ -145,14 +145,14 @@ def test_disentangled_block_rounds_call_each_traced_kernel(monkeypatch):
         ),
         candidates=PartialCandidateSet.from_strings(["011", "101"]),
     )
-    # the search opens one register and hands it to every kernel it calls
     strategies.disentangled_search(problem, grover.QueryCounter())
-    prep = [("apply_phase_flip", 10), ("apply_diffusion", 10)]
-    # per block round: compute the flag, flip its phase, uncompute, diffuse
+    prep = [("apply_phase_flip", 3), ("apply_diffusion", 3)]
+    # per block round: compute the flag, flip its phase and uncompute on
+    # the whole register, then diffuse its 9-qubit flag-clear half
     block_round = [
         ("apply_conditional_bit_flip", 10),
         ("apply_phase_flip", 10),
         ("apply_conditional_bit_flip", 10),
-        ("apply_diffusion", 10),
+        ("apply_diffusion", 9),
     ]
     assert calls == prep + block_round * 4
